@@ -191,23 +191,13 @@ def _make_evaluator(query: CapacityQuery, gamma_tol: float):
                 n_batches=10,
                 min_group=100,
             )
-            gammas, halves = [], []
-            keys = [("sc", area)] if phi == 1.0 else (
-                [("dc", area)] if phi == 0.0 else [("sc", area), ("dc", area)]
-            )
-            if any(rep.estimates.get(k) is None or rep.estimates[k].gamma_hat is None
-                   for k in keys):
+            sc, dc = (rep.estimates.get((kind, area)) for kind in ("sc", "dc"))
+            gamma = mixed_mean_throughput(sc and sc.gamma_hat, dc and dc.gamma_hat, phi)
+            if gamma is None:
                 completions *= 2
                 continue
-            for kind, j in keys:
-                est = rep.estimates[(kind, j)]
-                gammas.append(est.gamma_hat)
-                halves.append(est.half_width)
-            if phi in (0.0, 1.0):
-                gamma, half = gammas[0], halves[0]
-            else:
-                gamma = mixed_mean_throughput(gammas[0], gammas[1], phi)
-                half = phi * halves[0] + (1.0 - phi) * halves[1]
+            # a half-width is None exactly when its gamma is
+            half = mixed_mean_throughput(sc and sc.half_width, dc and dc.half_width, phi)
             # accept when the interval excludes the target or is tight enough
             if abs(gamma - query.target_gamma) > half or half <= gamma_tol / 2.0:
                 break

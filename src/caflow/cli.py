@@ -47,6 +47,7 @@ from .ctmc import (
     SOLVE_TOL,
     Truncation,
     build_generator,
+    initial_max_total,
     jfq_route,
     solve_model,
     solve_stationary,
@@ -598,8 +599,11 @@ def _gamma_point(cfg, phi, rho, policy, seed, stream, max_states=REPRO_MAX_STATE
     """
     lam = rho * harmonic_capacity(cfg)
     traffic = TrafficMix(lam, phi, 1.0)
+    # an explicit first truncation makes an oversized lattice raise instead
+    # of being capped to the budget
+    start = Truncation(max_total=initial_max_total(cfg, traffic))
     try:
-        report, _ = solve_model(cfg, traffic, policy, max_states=max_states)
+        report, _ = solve_model(cfg, traffic, policy, start, max_states=max_states)
         if report.diagnostics.reliable:
             return report.gamma_sc(0), report.gamma_dc(0), report.gamma_bar(0), "ctmc"
     except StateSpaceTooLargeError:
@@ -614,15 +618,7 @@ def _gamma_point(cfg, phi, rho, policy, seed, stream, max_states=REPRO_MAX_STATE
     gamma_dc = rep.estimates.get(("dc", 0))
     gamma_sc = gamma_sc.gamma_hat if gamma_sc else None
     gamma_dc = gamma_dc.gamma_hat if gamma_dc else None
-    if phi == 1.0:
-        gamma_bar = gamma_sc
-    elif phi == 0.0:
-        gamma_bar = gamma_dc
-    elif gamma_sc is not None and gamma_dc is not None:
-        gamma_bar = mixed_mean_throughput(gamma_sc, gamma_dc, phi)
-    else:
-        gamma_bar = None
-    return gamma_sc, gamma_dc, gamma_bar, "sim"
+    return gamma_sc, gamma_dc, mixed_mean_throughput(gamma_sc, gamma_dc, phi), "sim"
 
 
 def _meta(dataset, cfg, policy, evaluator, seed, **extra):

@@ -7,6 +7,11 @@ shortest-queue, or capacity-proportional coin flips), solves for the
 stationary distribution, and turns mean occupancies into per-class mean flow
 throughputs via Little's law.
 
+The stationary law has one solve path: pi_0 = 1 is fixed for the empty
+state, the other balance equations are solved by GMRES with an
+incomplete-LU preconditioner, and a power-iteration polish then brings the
+balance residual under the tolerance.
+
 Arrivals that would leave the truncated lattice are dropped (loss model); the
 probability mass of dropped arrivals is reported per class and doubles as the
 accuracy gauge for the truncation.
@@ -29,13 +34,17 @@ from .errors import (
     DegenerateSolveError,
     StateSpaceTooLargeError,
 )
-from .model import CellConfig, Policy, SystemState, TrafficMix, offered_load
+from .model import (
+    CellConfig,
+    Policy,
+    SystemState,
+    TrafficMix,
+    mixed_mean_throughput,
+    offered_load,
+)
 
 #: default cap on enumerated states before a solve refuses to proceed
 DEFAULT_STATE_BUDGET = 1_200_000
-
-#: above this size the direct sparse LU is replaced by Arnoldi iteration
-_DIRECT_MAX_STATES = 60_000
 
 #: default residual tolerance, relative to the uniformization constant
 SOLVE_TOL = 1e-10
@@ -45,6 +54,15 @@ RELIABLE_BLOCKING = 1e-6
 
 #: blocking mass the auto-grow loop aims for
 DEFAULT_TARGET_BLOCKING = 1e-8
+
+#: incomplete-LU preconditioner of the reduced balance system
+_ILU_DROP_TOL = 1e-3
+_ILU_FILL_FACTOR = 10
+_ILU_PERMC = "MMD_AT_PLUS_A"
+
+#: GMRES stopping rule and restart length on the reduced system
+_GMRES_RTOL = 1e-14
+_GMRES_RESTART = 50
 
 
 @dataclass(frozen=True)
@@ -494,33 +512,30 @@ def _power_polish(qt, unif, x, tol, max_iters, trace, chunk=64):
     return x, residual, iters
 
 
-def _solve_direct(qt, n):
-    coo = qt.tocoo()
-    # replace the balance equation of state 0 (the empty state, always
-    # recurrent) with the normalization sum(pi) = 1
-    keep = coo.row != 0
-    rows = np.concatenate([coo.row[keep], np.zeros(n, dtype=coo.row.dtype)])
-    cols = np.concatenate([coo.col[keep], np.arange(n, dtype=coo.col.dtype)])
-    data = np.concatenate([coo.data[keep], np.ones(n)])
-    mat = sp.csc_matrix((data, (rows, cols)), shape=(n, n))
-    rhs = np.zeros(n)
-    rhs[0] = 1.0
-    return spla.spsolve(mat, rhs)
-
-
-def _solve_arpack(qt, unif, n):
-    inv_unif = 1.0 / unif
-    op = spla.LinearOperator((n, n), matvec=lambda v: v + (qt @ v) * inv_unif, dtype=np.float64)
-    v0 = np.full(n, 1.0 / n)
+def _solve_reduced(qt, unif, trace):
+    # pi_0 = 1 for the empty state (state 0), which every state reaches, so
+    # dropping its balance equation and unknown leaves a non-singular system
+    # Q^T[1:, 1:] y = -Q^T[1:, 0] (Stewart 1994, ch. 2 and 5)
+    a = qt[1:, 1:]
+    b = -qt[1:, 0].toarray().ravel()
     try:
-        _, vecs = spla.eigs(op, k=1, which="LM", v0=v0, tol=1e-13, maxiter=5000)
-    except spla.ArpackNoConvergence as exc:
-        if exc.eigenvectors is None or exc.eigenvectors.shape[1] == 0:
-            raise
-        vecs = exc.eigenvectors
-    x = np.real(vecs[:, 0])
-    if x.sum() < 0:
-        x = -x
+        ilu = spla.spilu(
+            a, drop_tol=_ILU_DROP_TOL, fill_factor=_ILU_FILL_FACTOR, permc_spec=_ILU_PERMC
+        )
+    except RuntimeError as exc:  # zero pivot in the incomplete factors
+        raise ConvergenceError(f"ILU preconditioner failed: {exc}") from exc
+    y, info = spla.gmres(
+        a, b, rtol=_GMRES_RTOL, atol=0.0, restart=_GMRES_RESTART,
+        M=spla.LinearOperator(a.shape, ilu.solve),
+    )
+    x = np.concatenate(([1.0], y))
+    if info != 0:
+        residual = float(np.abs(qt @ x).max()) / (unif * x.sum())
+        trace.append(residual)
+        raise ConvergenceError(
+            f"GMRES stopped with info={info} (residual {residual:.3e})",
+            residual_trace=trace,
+        )
     return x
 
 
@@ -528,69 +543,38 @@ def solve_stationary(
     gen: Generator,
     tol: float = SOLVE_TOL,
     max_iters: int = 10**6,
-    method: str = "auto",
 ) -> StationaryDistribution:
     """Stationary distribution of the truncated chain.
 
-    ``method`` is "auto" (sparse LU for small spaces, Arnoldi above, power
-    iteration as fallback), or one of "direct", "arpack", "power". Whatever
-    the path, the result is power-polished until the normalized residual
-    ||pi Q||_inf / unif is at or below ``tol``; failure to get there raises
-    :class:`ConvergenceError` carrying the residual trace.
+    Fixes pi_0 = 1 for the empty state, solves the remaining balance
+    equations by GMRES with an incomplete-LU preconditioner, clips and
+    normalizes, then power-polishes until the normalized residual
+    ||pi Q||_inf / unif is at or below ``tol``. A GMRES breakdown or a polish
+    that does not get there raises :class:`ConvergenceError` carrying the
+    residual trace.
     """
     n = gen.Q.shape[0]
     qt = gen.Q.T.tocsr()
     unif = gen.unif if gen.unif > 0 else 1.0
     trace: list[float] = []
-
-    if method == "auto":
-        attempts = ["direct" if n <= _DIRECT_MAX_STATES else "arpack", "power"]
-    else:
-        attempts = [method]
-
-    last_exc: Exception | None = None
-    for attempt in attempts:
-        try:
-            if n == 1:
-                x, base_iters = np.ones(1), 0
-            elif attempt == "direct":
-                x, base_iters = _solve_direct(qt, n), 0
-            elif attempt == "arpack":
-                if n < 32:
-                    x, base_iters = _solve_direct(qt, n), 0
-                else:
-                    x, base_iters = _solve_arpack(qt, unif, n), 0
-            elif attempt == "power":
-                x, base_iters = np.full(n, 1.0 / n), 0
-            else:
-                raise ConfigError(f"unknown solve method {attempt!r}")
-        except ConfigError:
-            raise
-        except Exception as exc:  # singular factorization, ARPACK breakdown
-            last_exc = exc
-            continue
-        x = np.maximum(x, 0.0)
-        total = x.sum()
-        if total <= 0 or not np.isfinite(total):
-            last_exc = ConvergenceError(f"method {attempt!r} produced a degenerate vector")
-            continue
-        x /= total
-        x, residual, iters = _power_polish(qt, unif, x, tol, max_iters, trace)
-        if residual <= tol:
-            pi = x / x.sum()
-            dist = StationaryDistribution(
-                pi=pi, residual=residual, iterations=base_iters + iters,
-                method=attempt, blocking={}, space=gen.space, cfg=gen.cfg,
-                traffic=gen.traffic,
-            )
-            object.__setattr__(dist, "blocking", blocking_mass(dist))
-            return dist
-    raise ConvergenceError(
-        f"stationary solve failed to reach tol={tol} "
-        f"(best residual {min(trace) if trace else math.inf:.3e}); "
-        f"last method error: {last_exc!r}",
-        residual_trace=trace,
+    x = np.ones(1) if n == 1 else _solve_reduced(gen.Q.T.tocsc(), unif, trace)
+    x = np.maximum(x, 0.0)
+    total = x.sum()
+    if not np.isfinite(total):
+        raise ConvergenceError("the reduced solve produced a non-finite vector",
+                               residual_trace=trace)
+    x, residual, iters = _power_polish(qt, unif, x / total, tol, max_iters, trace)
+    if residual > tol:
+        raise ConvergenceError(
+            f"stationary solve failed to reach tol={tol} (residual {residual:.3e})",
+            residual_trace=trace,
+        )
+    dist = StationaryDistribution(
+        pi=x / x.sum(), residual=residual, iterations=iters, method="ilu-gmres",
+        blocking={}, space=gen.space, cfg=gen.cfg, traffic=gen.traffic,
     )
+    object.__setattr__(dist, "blocking", blocking_mass(dist))
+    return dist
 
 
 def blocking_mass(
@@ -709,17 +693,10 @@ def throughputs_from_distribution(
                     f"area {j}: DC arrivals are positive but E[occupancy] = 0"
                 )
             gamma_dc = beta_j * traffic.sigma / mean_dc
-        if phi == 1.0:
-            gamma_bar = gamma_sc
-        elif phi == 0.0:
-            gamma_bar = gamma_dc
-        elif gamma_sc is not None and gamma_dc is not None:
-            gamma_bar = phi * gamma_sc + (1.0 - phi) * gamma_dc
-        else:
-            gamma_bar = None
         areas.append(
             AreaThroughput(
-                gamma_sc=gamma_sc, gamma_dc=gamma_dc, gamma_bar=gamma_bar,
+                gamma_sc=gamma_sc, gamma_dc=gamma_dc,
+                gamma_bar=mixed_mean_throughput(gamma_sc, gamma_dc, phi),
                 mean_sc=mean_sc, mean_dc=mean_dc,
             )
         )
@@ -741,7 +718,14 @@ def throughputs_from_distribution(
 # one-call driver with truncation auto-grow
 
 
-def _initial_max_total(cfg: CellConfig, traffic: TrafficMix, target_blocking: float) -> int:
+def initial_max_total(
+    cfg: CellConfig, traffic: TrafficMix, target_blocking: float = DEFAULT_TARGET_BLOCKING
+) -> int:
+    """Load-based first ``max_total`` of :func:`solve_model`.
+
+    Chosen so that the geometric tail rho^N of the total population stays
+    near ``target_blocking``; not capped by any state budget.
+    """
     rho = offered_load(cfg, traffic).rho
     if rho <= 0.0:
         return 10
@@ -761,22 +745,24 @@ def solve_model(
     tol: float = SOLVE_TOL,
     max_iters: int = 10**6,
     max_states: int = DEFAULT_STATE_BUDGET,
-    method: str = "auto",
     max_grow: int = 8,
 ) -> tuple[ThroughputReport, StationaryDistribution]:
     """Solve the model end to end, growing the truncation until it is tight.
 
-    Starts from ``trunc`` (or a load-based heuristic), doubles ``max_total``
-    while any blocking mass exceeds ``target_blocking``, and stops early when
-    a doubled space would exceed ``max_states`` (the result is then flagged
-    unreliable in the diagnostics if blocking is above the reliability gate).
+    Starts from ``trunc`` (or a load-based heuristic, capped at the largest
+    ``max_total`` that fits ``max_states``), doubles ``max_total`` while any
+    blocking mass exceeds ``target_blocking``, and stops early when a doubled
+    space would exceed ``max_states`` (the result is then flagged unreliable
+    in the diagnostics if blocking is above the reliability gate). An
+    explicit ``trunc`` whose first space exceeds ``max_states`` raises
+    :class:`StateSpaceTooLargeError`.
     Classes with zero arrival rate are pruned from the lattice, which leaves
     the stationary law unchanged.
     """
     max_sc = 0 if traffic.alpha == 0 else (trunc.max_sc if trunc else None)
     max_dc = 0 if traffic.beta == 0 else (trunc.max_dc if trunc else None)
     area_caps = trunc.area_caps if trunc else None
-    n_total = trunc.max_total if trunc else _initial_max_total(cfg, traffic, target_blocking)
+    n_total = trunc.max_total if trunc else initial_max_total(cfg, traffic, target_blocking)
 
     grew = 0
     result = None
@@ -786,12 +772,16 @@ def solve_model(
         )
         try:
             space = enumerate_states(cfg, attempt, max_states)
-        except StateSpaceTooLargeError:
-            if result is None:
+        except StateSpaceTooLargeError as exc:
+            if result is not None:
+                break
+            fits = exc.suggested_max_total
+            if trunc is not None or fits is None or fits >= n_total:
                 raise
-            break
+            n_total = fits
+            continue
         gen = build_generator(cfg, traffic, space, policy)
-        dist = solve_stationary(gen, tol=tol, max_iters=max_iters, method=method)
+        dist = solve_stationary(gen, tol=tol, max_iters=max_iters)
         result = dist
         if max(dist.blocking.values(), default=0.0) <= target_blocking or grew >= max_grow:
             break

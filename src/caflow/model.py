@@ -494,12 +494,25 @@ def dc_only_mean_occupancy(cfg: CellConfig, traffic: TrafficMix, j: int) -> floa
     return load.rho_per_area[j] / (1.0 - load.rho)
 
 
-def mixed_mean_throughput(gamma_sc_j: float, gamma_dc_j: float, phi: float) -> float:
-    """Class-weighted mean throughput phi * gamma_SC + (1 - phi) * gamma_DC."""
-    if gamma_sc_j < 0 or gamma_dc_j < 0:
-        raise ConfigError("throughputs must be non-negative")
+def mixed_mean_throughput(
+    gamma_sc_j: float | None, gamma_dc_j: float | None, phi: float
+) -> float | None:
+    """Class-weighted mean throughput phi * gamma_SC + (1 - phi) * gamma_DC.
+
+    At phi = 1 the mean is gamma_SC and at phi = 0 it is gamma_DC; the class
+    absent there may be None. A class with positive weight and no value
+    (None) gives None.
+    """
     if not (0.0 <= phi <= 1.0):
         raise ConfigError(f"SC fraction must lie in [0, 1], got {phi!r}")
+    if any(g is not None and g < 0 for g in (gamma_sc_j, gamma_dc_j)):
+        raise ConfigError("throughputs must be non-negative")
+    if phi == 1.0:
+        return gamma_sc_j
+    if phi == 0.0:
+        return gamma_dc_j
+    if gamma_sc_j is None or gamma_dc_j is None:
+        return None
     return phi * gamma_sc_j + (1.0 - phi) * gamma_dc_j
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-from scipy.stats import t as _student_t
+from scipy.special import stdtrit
 
 from .ctmc import route_cross_ints
 from .errors import ConfigError, NoDataError
@@ -40,13 +40,6 @@ TREND_T_CRIT = 3.0
 
 _TRAJ_CAP = 1 << 18
 _BLOCK = 8192
-
-
-@dataclass(frozen=True)
-class SimPolicy:
-    """Routing discipline for SC arrivals; DC flows are always volume-balanced."""
-
-    routing: Policy = Policy.JFQ
 
 
 @dataclass(frozen=True)
@@ -183,7 +176,7 @@ def _ols_trend(times: np.ndarray, values: np.ndarray) -> TrendStats:
 def simulate(
     cfg: CellConfig,
     traffic: TrafficMix,
-    policy: SimPolicy | Policy = Policy.JFQ,
+    policy: Policy = Policy.JFQ,
     stop: Stop = Stop(completions=10_000),
     warmup: Warmup = Warmup(),
     seed: int = 0,
@@ -200,7 +193,7 @@ def simulate(
     The result is a deterministic function of all arguments; ``(seed,
     stream)`` select an independent random stream per replication.
     """
-    routing = policy.routing if isinstance(policy, SimPolicy) else Policy(policy)
+    routing = Policy(policy)
     n_areas = cfg.n_areas
     sigma = traffic.sigma
     alpha_j = [traffic.area_rates(cfg, j)[0] for j in range(n_areas)]
@@ -480,7 +473,7 @@ def batch_means_ci(
     used = data[: size * n_batches]
     means = used.reshape(n_batches, size).mean(axis=1)
     spread = float(means.std(ddof=1))
-    quantile = float(_student_t.ppf(0.5 + level / 2.0, n_batches - 1))
+    quantile = float(stdtrit(n_batches - 1, 0.5 + level / 2.0))
     return float(used.mean()), quantile * spread / math.sqrt(n_batches)
 
 
@@ -492,5 +485,5 @@ def _ratio_batch_half_width(
     used_s = sojourns[: size * n_batches].reshape(n_batches, size)
     ratios = used_v.sum(axis=1) / used_s.sum(axis=1)
     spread = float(ratios.std(ddof=1))
-    quantile = float(_student_t.ppf(0.5 + level / 2.0, n_batches - 1))
+    quantile = float(stdtrit(n_batches - 1, 0.5 + level / 2.0))
     return quantile * spread / math.sqrt(n_batches)

@@ -4,10 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from caflow.ctmc import (
+    SOLVE_TOL,
     Generator,
     Routing,
     StateSpace,
@@ -23,7 +24,14 @@ from caflow.ctmc import (
     solve_stationary,
 )
 from caflow.errors import ConfigError, StateSpaceTooLargeError
-from caflow.model import AreaSpec, CellConfig, Policy, SystemState, TrafficMix
+from caflow.model import (
+    AreaSpec,
+    CellConfig,
+    Policy,
+    SystemState,
+    TrafficMix,
+    harmonic_capacity,
+)
 
 
 def single(c1, c2):
@@ -258,23 +266,52 @@ def test_solve_matches_geometric_law_on_full_lattice():
 
 
 def test_solve_residual_contract():
-    for method in ("direct", "power", "arpack"):
-        gen = mixed_gen(max_total=6)
-        dist = solve_stationary(gen, tol=1e-10, method=method)
-        assert dist.residual <= 1e-10
-        assert dist.pi.min() >= 0.0
-        assert dist.pi.sum() == pytest.approx(1.0, abs=1e-10)
+    gen = mixed_gen(max_total=6)
+    dist = solve_stationary(gen, tol=1e-10)
+    assert dist.residual <= 1e-10
+    assert dist.pi.min() >= 0.0
+    assert dist.pi.sum() == pytest.approx(1.0, abs=1e-10)
+
+
+def dense_stationary(gen):
+    # independent reference: dense LU of the balance equations with the last
+    # one replaced by the normalization sum(pi) = 1
+    a = gen.Q.T.toarray()
+    a[-1, :] = 1.0
+    rhs = np.zeros(a.shape[0])
+    rhs[-1] = 1.0
+    return np.linalg.solve(a, rhs)
 
 
 def test_solver_methods_agree():
     gen = mixed_gen(c1=1, c2="1.3", rho=0.6, phi=0.3, max_total=12)
-    reference = None
-    for method in ("direct", "power", "arpack"):
-        dist = solve_stationary(gen, method=method)
-        if reference is None:
-            reference = dist.pi
-        else:
-            assert np.abs(dist.pi - reference).max() <= 1e-8
+    dist = solve_stationary(gen)
+    assert np.abs(dist.pi - dense_stationary(gen)).max() <= 1e-10
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n_areas=st.integers(min_value=1, max_value=2),
+    caps=st.lists(st.sampled_from(["0.7", "1", "1.3", "2", "5"]), min_size=4, max_size=4),
+    q_first=st.sampled_from(["0.2", "0.5", "0.9"]),
+    policy=st.sampled_from(list(Policy)),
+    rho=st.floats(min_value=0.05, max_value=0.95),
+    phi=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+    max_total=st.integers(min_value=1, max_value=8),
+)
+def test_solver_matches_dense_reference_on_random_small_cells(
+    n_areas, caps, q_first, policy, rho, phi, max_total
+):
+    if n_areas == 1:
+        cfg = single(caps[0], caps[1])
+    else:
+        q = Fraction(q_first)
+        cfg = CellConfig(areas=(AreaSpec(caps[0], caps[1], q), AreaSpec(caps[2], caps[3], 1 - q)))
+    traffic = TrafficMix(rho * harmonic_capacity(cfg), phi, 1.0)
+    gen = build_generator(cfg, traffic, Truncation(max_total=max_total), policy)
+    dist = solve_stationary(gen)
+    assert dist.residual <= SOLVE_TOL
+    assert np.abs(dist.pi - dense_stationary(gen)).max() <= 1e-10
 
 
 def test_symmetric_capacities_give_symmetric_marginals():
@@ -394,6 +431,14 @@ def test_solve_model_rejects_oversized_first_space():
     traffic = TrafficMix(1.0, 0.5, 1.0)
     with pytest.raises(StateSpaceTooLargeError):
         solve_model(cfg, traffic, trunc=Truncation(max_total=80), max_states=2000)
+
+
+def test_solve_model_caps_heuristic_start_at_the_budget():
+    # the load-based first cap asks for more than 2,000 states; without an
+    # explicit truncation the start is lowered to the largest cap that fits
+    report, _ = solve_model(single(1, 2), TrafficMix(1.5, 0.5, 1.0), max_states=2000)
+    assert report.diagnostics.states <= 2000
+    assert report.diagnostics.max_total == 20
 
 
 def test_debug_dumps_round_trip(tmp_path):

@@ -398,6 +398,11 @@ def test_mixed_mean_throughput():
     assert mixed_mean_throughput(1.0, 2.0, 0.5) == pytest.approx(1.5)
     assert mixed_mean_throughput(1.0, 2.0, 1.0) == 1.0
     assert mixed_mean_throughput(1.0, 2.0, 0.0) == 2.0
+    # the class absent at phi = 1 or phi = 0 may have no throughput
+    assert mixed_mean_throughput(1.0, None, 1.0) == 1.0
+    assert mixed_mean_throughput(None, 2.0, 0.0) == 2.0
+    assert mixed_mean_throughput(None, 2.0, 0.5) is None
+    assert mixed_mean_throughput(1.0, None, 0.0) is None
 
 
 def test_sc_jfq_throughput_approx():

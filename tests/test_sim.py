@@ -3,7 +3,8 @@ from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
-from scipy.stats import chisquare
+from scipy.special import stdtrit
+from scipy.stats import chisquare, t
 
 from caflow.ctmc import Truncation, build_generator, solve_model
 from caflow.errors import ConfigError, NoDataError
@@ -63,6 +64,14 @@ def test_batch_means_single_batch_is_error():
         batch_means_ci([1.0, 2.0, 3.0, 4.0], n_batches=1)
     with pytest.raises(NoDataError):
         batch_means_ci([1.0, 2.0, 3.0], n_batches=2)
+
+
+@pytest.mark.parametrize("level", [0.9, 0.95, 0.99])
+@pytest.mark.parametrize("df", [1, 4, 9, 19, 49])
+def test_t_quantile_equals_scipy_stats(level, df):
+    # the batch-means intervals take the Student-t quantile from
+    # scipy.special; it must equal scipy.stats' to the last bit
+    assert stdtrit(df, 0.5 + level / 2.0) == t.ppf(0.5 + level / 2.0, df)
 
 
 def test_batch_means_half_width_matches_theory():
