@@ -40,6 +40,7 @@ from .model import (
     offered_load,
     per_user_rates,
     ring_area_probabilities,
+    sc_carrier1_share,
     sc_jfq_throughput_approx,
     stability_verdict,
     theta_approximation,

@@ -19,7 +19,6 @@ accuracy gauge for the truncation.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -41,6 +40,7 @@ from .model import (
     TrafficMix,
     mixed_mean_throughput,
     offered_load,
+    sc_carrier1_share,
 )
 
 #: default cap on enumerated states before a solve refuses to proceed
@@ -63,6 +63,13 @@ _ILU_PERMC = "MMD_AT_PLUS_A"
 #: GMRES stopping rule and restart length on the reduced system
 _GMRES_RTOL = 1e-14
 _GMRES_RESTART = 50
+
+#: power-polish iteration cap and the chunk after which its residual is checked
+_POLISH_MAX_ITERS = 10**6
+_POLISH_CHUNK = 64
+
+#: int64 headroom for lattice keys and fastest-queue cross-products
+_INT64_HEADROOM = 2**62
 
 
 @dataclass(frozen=True)
@@ -145,10 +152,35 @@ def _suggest_max_total(n_areas: int, trunc: Truncation, max_states: int) -> int 
     return lo or None
 
 
+def _component_radix(n_areas: int, trunc: Truncation) -> list[int]:
+    """Per-component radix (cap + 1) of the lattice key, in state order.
+
+    A component's cap is the smallest of max_total, its area cap and its
+    class cap, so a pruned class has radix 1. Raises :class:`ConfigError`
+    when the key range reaches 2**62 and would not fit an int64.
+    """
+    area_caps = trunc.effective_area_caps(n_areas)
+    radix = []
+    for cap in area_caps:
+        top = min(trunc.max_total, cap)
+        sc = min(top, trunc.sc_cap) + 1
+        radix += [sc, sc, min(top, trunc.dc_cap) + 1]
+    keys = math.prod(radix)
+    if keys >= _INT64_HEADROOM:
+        raise ConfigError(
+            f"a {n_areas}-area lattice with max_total={trunc.max_total} has {keys} "
+            "candidate keys, at or above the 2**62 limit of the state index; "
+            "lower max_total or set area or class caps"
+        )
+    return radix
+
+
 class StateSpace:
     """Lexicographically ordered enumeration of the truncated lattice.
 
-    The index is bijective: ``state_at(index_of(s)) == s``. Aggregate count
+    The index is bijective: ``state_at(index_of(s)) == s``. Each state's key
+    reads its counts as the digits of a mixed-radix number (radix cap + 1
+    per component), so the keys are sorted like the rows. Aggregate count
     vectors are precomputed for generator assembly.
     """
 
@@ -161,17 +193,10 @@ class StateSpace:
         self.m = counts[:, 2::3].sum(axis=1, dtype=np.int64)
         self.total = self.n1 + self.n2 + self.m
         self.sc_total = self.n1 + self.n2
-        dims = counts.shape[1]
-        base = trunc.max_total + 1
-        self._radix = None
-        self._index: dict[tuple[int, ...], int] | None = None
-        if base**dims < 2**62:
-            radix = np.array([base ** (dims - 1 - i) for i in range(dims)], dtype=np.int64)
-            self._radix = radix
-            self.keys = counts.astype(np.int64) @ radix
-        else:
-            self.keys = None
-            self._index = {tuple(row): i for i, row in enumerate(counts.tolist())}
+        self._radix = _component_radix(self.n_areas, trunc)
+        strides = [math.prod(self._radix[i + 1 :]) for i in range(len(self._radix))]
+        self._strides = np.array(strides, dtype=np.int64)
+        self.keys = counts.astype(np.int64) @ self._strides
 
     def __len__(self) -> int:
         return self.counts.shape[0]
@@ -184,16 +209,14 @@ class StateSpace:
 
     def index_of(self, state: SystemState | Sequence[int]) -> int:
         counts = state.counts if isinstance(state, SystemState) else tuple(int(c) for c in state)
-        if self._index is not None:
-            try:
-                return self._index[counts]
-            except KeyError:
-                raise KeyError(f"state {counts} is outside the truncated space") from None
-        key = int(np.dot(np.asarray(counts, dtype=np.int64), self._radix))
-        pos = int(np.searchsorted(self.keys, key))
-        if pos >= len(self) or self.keys[pos] != key:
-            raise KeyError(f"state {counts} is outside the truncated space")
-        return pos
+        # outside the radix box a key could alias another state's key
+        if len(counts) == len(self._radix) and all(
+            0 <= c < r for c, r in zip(counts, self._radix)
+        ):
+            pos = int(np.searchsorted(self.keys, int(np.dot(counts, self._strides))))
+            if pos < len(self) and tuple(self.counts[pos].tolist()) == counts:
+                return pos
+        raise KeyError(f"state {counts} is outside the truncated space")
 
     def lookup_keys(self, target_keys: np.ndarray) -> np.ndarray:
         """Indices of states with the given keys; every key must exist."""
@@ -201,11 +224,6 @@ class StateSpace:
         if not np.all(self.keys[pos] == target_keys):
             raise AssertionError("generator targeted a state outside the space")
         return pos
-
-    def lookup_rows(self, rows: np.ndarray) -> np.ndarray:
-        if self._index is None:
-            return self.lookup_keys(rows.astype(np.int64) @ self._radix)
-        return np.array([self._index[tuple(r)] for r in rows.tolist()], dtype=np.int64)
 
 
 def enumerate_states(
@@ -227,6 +245,7 @@ def enumerate_states(
                 f"{_suggest_max_total(n_areas, trunc, max_states)}",
                 suggested_max_total=_suggest_max_total(n_areas, trunc, max_states),
             )
+    _component_radix(n_areas, trunc)  # the lattice key must fit before any row is built
     area_caps = trunc.effective_area_caps(n_areas)
 
     # grow the state array one component at a time; rows stay in
@@ -264,75 +283,6 @@ def enumerate_states(
             rem_sc = rem_sc[rep] - values
             rem_dc = rem_dc[rep]
     return StateSpace(prefix, trunc)
-
-
-# ---------------------------------------------------------------------------
-# routing
-
-
-class Routing(enum.Enum):
-    CARRIER1 = 1
-    CARRIER2 = 2
-    TIE = 0
-
-
-def jfq_route(state: SystemState, j: int, cfg: CellConfig) -> Routing:
-    """Fastest-queue decision for an SC arrival in area j.
-
-    Compares the post-arrival per-user rates c1/(n1+m+1) and c2/(n2+m+1)
-    with exact rational arithmetic, so the tie case is detected exactly.
-    """
-    area = cfg.areas[j]
-    lhs = area.c1_exact * (state.n2 + state.m + 1)
-    rhs = area.c2_exact * (state.n1 + state.m + 1)
-    if lhs > rhs:
-        return Routing.CARRIER1
-    if lhs < rhs:
-        return Routing.CARRIER2
-    return Routing.TIE
-
-
-def jsq_route(state: SystemState, j: int, cfg: CellConfig) -> Routing:
-    """Shortest-queue decision: compare per-carrier customer counts n1+m, n2+m."""
-    lhs = state.n1 + state.m
-    rhs = state.n2 + state.m
-    if lhs < rhs:
-        return Routing.CARRIER1
-    if lhs > rhs:
-        return Routing.CARRIER2
-    return Routing.TIE
-
-
-def route_cross_ints(cfg: CellConfig) -> list[tuple[int, int]]:
-    """Per-area integer pair (a, b) with a/b equal to c1/c2 exactly.
-
-    The fastest-queue comparison then reduces to the integer test
-    a*(n2+m+1) vs b*(n1+m+1).
-    """
-    pairs = []
-    for area in cfg.areas:
-        a = area.c1_exact.numerator * area.c2_exact.denominator
-        b = area.c2_exact.numerator * area.c1_exact.denominator
-        pairs.append((a, b))
-    return pairs
-
-
-def _jfq_masks(space: StateSpace, a: int, b: int):
-    n1m = space.n1 + space.m + 1
-    n2m = space.n2 + space.m + 1
-    if max(a, b) * (int(space.truncation.max_total) + 2) < 2**62:
-        lhs = a * n2m
-        rhs = b * n1m
-    else:  # exact fallback for extreme rationals
-        lhs = np.array([a * int(x) for x in n2m], dtype=object)
-        rhs = np.array([b * int(x) for x in n1m], dtype=object)
-    return lhs > rhs, lhs < rhs, lhs == rhs
-
-
-def _jsq_masks(space: StateSpace):
-    lhs = space.n1 + space.m
-    rhs = space.n2 + space.m
-    return lhs < rhs, lhs > rhs, lhs == rhs
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +343,6 @@ def build_generator(
     trunc = space.truncation
     n = len(space)
     sigma = traffic.sigma
-    cross = route_cross_ints(cfg)
     all_rows: list[np.ndarray] = []
     all_cols: list[np.ndarray] = []
     all_data: list[np.ndarray] = []
@@ -406,11 +355,7 @@ def build_generator(
             all_data.append(data)
 
     def targets(sel: np.ndarray, comp: int, delta: int) -> np.ndarray:
-        if space.keys is not None:
-            return space.lookup_keys(space.keys[sel] + delta * space._radix[comp])
-        moved = space.counts[sel].copy()
-        moved[:, comp] += delta
-        return space.lookup_rows(moved)
+        return space.lookup_keys(space.keys[sel] + delta * space._strides[comp])
 
     for j in range(space.n_areas):
         i1, i2, i3 = 3 * j, 3 * j + 1, 3 * j + 2
@@ -418,17 +363,14 @@ def build_generator(
 
         if alpha_j > 0:
             ok_sc = _arrival_allowed(space, trunc, True, j)
-            if policy is Policy.BERNOULLI:
-                p1 = cfg.areas[j].c1 / (cfg.areas[j].c1 + cfg.areas[j].c2)
-                rate1 = np.full(n, alpha_j * p1)
-                rate2 = np.full(n, alpha_j * (1.0 - p1))
-            else:
-                if policy is Policy.JFQ:
-                    to1, to2, tie = _jfq_masks(space, *cross[j])
-                else:
-                    to1, to2, tie = _jsq_masks(space)
-                rate1 = alpha_j * (to1 + 0.5 * tie)
-                rate2 = alpha_j * (to2 + 0.5 * tie)
+            area = cfg.areas[j]
+            totals = (space.n1, space.n2, space.m)
+            if max(area.ratio_pair) * (trunc.max_total + 2) >= _INT64_HEADROOM:
+                # exact Python ints where fastest-queue cross-products could pass int64
+                totals = tuple(x.astype(object) for x in totals)
+            share = np.broadcast_to(sc_carrier1_share(policy, area, *totals), (n,))
+            rate1 = alpha_j * share
+            rate2 = alpha_j * (1.0 - share)
             sel1 = ok_sc & (rate1 > 0)
             add(idx[sel1], targets(sel1, i1, +1), rate1[sel1])
             sel2 = ok_sc & (rate2 > 0)
@@ -496,19 +438,23 @@ class StationaryDistribution:
         return float(self.pi @ values)
 
 
-def _power_polish(qt, unif, x, tol, max_iters, trace, chunk=64):
+def _power_polish(qt, unif, x, tol, trace):
+    # stops at tol, at the iteration cap, or after a chunk that fails to
+    # lower the residual (the iteration has stalled)
     iters = 0
     inv_unif = 1.0 / unif
     residual = float(np.abs(qt @ x).max()) * inv_unif
     trace.append(residual)
-    while residual > tol and iters < max_iters:
-        for _ in range(chunk):
+    while residual > tol and iters < _POLISH_MAX_ITERS:
+        for _ in range(_POLISH_CHUNK):
             x = x + (qt @ x) * inv_unif
-        iters += chunk
+        iters += _POLISH_CHUNK
         x = np.maximum(x, 0.0)
         x /= x.sum()
         residual = float(np.abs(qt @ x).max()) * inv_unif
         trace.append(residual)
+        if residual >= trace[-2]:
+            break
     return x, residual, iters
 
 
@@ -539,19 +485,16 @@ def _solve_reduced(qt, unif, trace):
     return x
 
 
-def solve_stationary(
-    gen: Generator,
-    tol: float = SOLVE_TOL,
-    max_iters: int = 10**6,
-) -> StationaryDistribution:
+def solve_stationary(gen: Generator, tol: float = SOLVE_TOL) -> StationaryDistribution:
     """Stationary distribution of the truncated chain.
 
     Fixes pi_0 = 1 for the empty state, solves the remaining balance
     equations by GMRES with an incomplete-LU preconditioner, clips and
     normalizes, then power-polishes until the normalized residual
-    ||pi Q||_inf / unif is at or below ``tol``. A GMRES breakdown or a polish
-    that does not get there raises :class:`ConvergenceError` carrying the
-    residual trace.
+    ||pi Q||_inf / unif is at or below ``tol``. A GMRES breakdown, or a polish
+    that stalls (a chunk of 64 iterations fails to lower the residual) or
+    runs out of iterations first, raises :class:`ConvergenceError` carrying
+    the residual trace.
     """
     n = gen.Q.shape[0]
     qt = gen.Q.T.tocsr()
@@ -563,7 +506,7 @@ def solve_stationary(
     if not np.isfinite(total):
         raise ConvergenceError("the reduced solve produced a non-finite vector",
                                residual_trace=trace)
-    x, residual, iters = _power_polish(qt, unif, x / total, tol, max_iters, trace)
+    x, residual, iters = _power_polish(qt, unif, x / total, tol, trace)
     if residual > tol:
         raise ConvergenceError(
             f"stationary solve failed to reach tol={tol} (residual {residual:.3e})",
@@ -743,7 +686,6 @@ def solve_model(
     *,
     target_blocking: float = DEFAULT_TARGET_BLOCKING,
     tol: float = SOLVE_TOL,
-    max_iters: int = 10**6,
     max_states: int = DEFAULT_STATE_BUDGET,
     max_grow: int = 8,
 ) -> tuple[ThroughputReport, StationaryDistribution]:
@@ -781,7 +723,7 @@ def solve_model(
             n_total = fits
             continue
         gen = build_generator(cfg, traffic, space, policy)
-        dist = solve_stationary(gen, tol=tol, max_iters=max_iters)
+        dist = solve_stationary(gen, tol=tol)
         result = dist
         if max(dist.blocking.values(), default=0.0) <= target_blocking or grew >= max_grow:
             break

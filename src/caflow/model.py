@@ -13,7 +13,9 @@ Conventions used throughout the package:
   arrival rates in flows/s; no implicit unit scaling anywhere;
 * area indices are 0-based in code (configuration files use 1-based keys);
 * carrier peak rates are kept both as floats (numerics) and as exact
-  rationals (routing-tie detection, which is an exact equality test).
+  rationals (routing-tie detection, which is an exact equality test);
+* SC routing is one rule, :func:`sc_carrier1_share`, used by the Markov
+  generator, the simulator and the validation suite alike.
 """
 
 from __future__ import annotations
@@ -82,7 +84,8 @@ class AreaSpec:
     """Peak rates and population weight of one area.
 
     ``c1``/``c2`` accept strings ("1.3", "13/10"), ints, floats or Fractions;
-    they are normalized to floats with the exact rational kept alongside.
+    they are normalized to floats with the exact rational kept alongside, and
+    ``ratio_pair`` holds integers (a, b) with a/b == c1/c2 exactly.
     """
 
     c1: float
@@ -90,6 +93,7 @@ class AreaSpec:
     q: float
     c1_exact: Fraction = field(init=False, repr=False)
     c2_exact: Fraction = field(init=False, repr=False)
+    ratio_pair: tuple[int, int] = field(init=False, repr=False)
 
     def __post_init__(self):
         e1 = exact_ratio(self.c1)
@@ -104,6 +108,8 @@ class AreaSpec:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "c1_exact", e1)
         object.__setattr__(self, "c2_exact", e2)
+        ratio = e1 / e2
+        object.__setattr__(self, "ratio_pair", (ratio.numerator, ratio.denominator))
 
     @property
     def c_total(self) -> float:
@@ -585,8 +591,34 @@ def theta_approximation(cfg: CellConfig, phi: float, target_gamma_edge: float) -
     )
 
 
+# ---------------------------------------------------------------------------
+# SC routing
+
+
+def sc_carrier1_share(policy: Policy, area: AreaSpec, n1, n2, m):
+    """Carrier 1's share of the SC arrivals of ``area`` in a state.
+
+    ``n1``, ``n2`` and ``m`` are the cell totals of SC users on carrier 1, on
+    carrier 2 and of DC users, as Python ints or numpy integer arrays (the
+    share is then an array). Fastest-queue compares the post-arrival per-user
+    rates c1/(n1+m+1) and c2/(n2+m+1) as the exact integer test
+    a*(n2+m+1) vs b*(n1+m+1) with a/b = c1/c2; shortest-queue compares n1+m
+    with n2+m. The winner gets share 1 or 0 and an exact tie gives 1/2.
+    Bernoulli routing is state-blind and gives c1/(c1+c2).
+    """
+    if policy is Policy.JFQ:
+        a, b = area.ratio_pair
+        lhs, rhs = a * (n2 + m + 1), b * (n1 + m + 1)
+    elif policy is Policy.JSQ:
+        lhs, rhs = n2 + m, n1 + m
+    elif policy is Policy.BERNOULLI:
+        return area.c1 / (area.c1 + area.c2)
+    else:
+        raise ConfigError(f"unknown routing policy {policy!r}")
+    return (lhs > rhs) + 0.5 * (lhs == rhs)
+
+
 def bernoulli_probabilities(cfg: CellConfig, j: int) -> tuple[float, float]:
     """Capacity-proportional routing probabilities (p1, p2) for area j."""
-    area = cfg.areas[j]
-    p1 = area.c1 / (area.c1 + area.c2)
+    p1 = sc_carrier1_share(Policy.BERNOULLI, cfg.areas[j], 0, 0, 0)
     return p1, 1.0 - p1

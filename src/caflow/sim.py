@@ -25,9 +25,8 @@ from typing import Iterable
 import numpy as np
 from scipy.special import stdtrit
 
-from .ctmc import route_cross_ints
 from .errors import ConfigError, NoDataError
-from .model import CellConfig, Policy, TrafficMix
+from .model import CellConfig, Policy, TrafficMix, sc_carrier1_share
 
 #: groups with fewer post-warmup completions than this are not estimated
 MIN_GROUP_COMPLETIONS = 500
@@ -200,8 +199,6 @@ def simulate(
     beta_j = [traffic.area_rates(cfg, j)[1] for j in range(n_areas)]
     c1 = [a.c1 for a in cfg.areas]
     c2 = [a.c2 for a in cfg.areas]
-    cross = route_cross_ints(cfg)
-    p1 = [c1[j] / (c1[j] + c2[j]) for j in range(n_areas)]
 
     rng = np.random.default_rng((seed, stream))
     draws = _Draws(rng)
@@ -298,22 +295,12 @@ def simulate(
                 slot = 2
                 label = "T3"
             else:
-                if routing is Policy.JFQ:
-                    a, b = cross[j]
-                    lhs = a * (n2 + m + 1)
-                    rhs = b * (n1 + m + 1)
-                elif routing is Policy.JSQ:
-                    lhs, rhs = n2 + m, n1 + m  # prefer the shorter queue
+                share = sc_carrier1_share(routing, cfg.areas[j], n1, n2, m)
+                # a uniform is drawn on every Bernoulli arrival and on a tie only
+                if routing is Policy.BERNOULLI or share == 0.5:
+                    slot = 0 if draws.unif() < share else 1
                 else:
-                    lhs = rhs = 0
-                if routing is Policy.BERNOULLI:
-                    slot = 0 if draws.unif() < p1[j] else 1
-                elif lhs > rhs:
-                    slot = 0
-                elif lhs < rhs:
-                    slot = 1
-                else:
-                    slot = 0 if draws.unif() < 0.5 else 1
+                    slot = 0 if share else 1
                 label = "T1" if slot == 0 else "T2"
             volume = draws.expo() * sigma
             counts[j][slot] += 1

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 from caflow.ctmc import (
     SOLVE_TOL,
     Generator,
-    Routing,
     StateSpace,
     Truncation,
     blocking_mass,
@@ -18,19 +18,17 @@ from caflow.ctmc import (
     count_states,
     default_truncation,
     enumerate_states,
-    jfq_route,
-    jsq_route,
     solve_model,
     solve_stationary,
 )
-from caflow.errors import ConfigError, StateSpaceTooLargeError
+from caflow.errors import ConfigError, ConvergenceError, StateSpaceTooLargeError
 from caflow.model import (
     AreaSpec,
     CellConfig,
     Policy,
-    SystemState,
     TrafficMix,
     harmonic_capacity,
+    sc_carrier1_share,
 )
 
 
@@ -70,8 +68,30 @@ def test_enumerate_is_lexicographic_and_bijective():
     assert rows == sorted(rows)
     for i in range(len(space)):
         assert space.index_of(space.state_at(i)) == i
+    # outside the lattice, including states whose keys could alias a member
+    for outside in [(4, 0, 0), (1, 1, 2), (0, 4, 0), (0, 0, 4), (1, 0, 4), (0, 1, -1)]:
+        with pytest.raises(KeyError):
+            space.index_of(outside)
+
+
+def test_two_area_space_with_a_pruned_class_round_trips():
+    # max_total + 1 to the power 3J passes 2**62 here; the pruned SC
+    # components have radix 1, so the lattice key still fits an int64
+    space = enumerate_states(
+        two_area((1, 1), (1, 1)), Truncation(max_total=1300, max_sc=0)
+    )
+    assert len(space) == math.comb(1300 + 2, 2)
+    for i in (0, 1, 650, len(space) // 2, len(space) - 1):
+        assert space.index_of(space.state_at(i)) == i
+    assert space.index_of((0, 0, 1300, 0, 0, 0)) == len(space) - 1
     with pytest.raises(KeyError):
-        space.index_of((4, 0, 0))
+        space.index_of((1, 0, 0, 0, 0, 0))
+
+
+def test_lattice_key_limit_is_a_config_error():
+    areas = tuple(AreaSpec(1, 1, Fraction(1, 7)) for _ in range(7))
+    with pytest.raises(ConfigError, match="2\\*\\*62"):
+        enumerate_states(CellConfig(areas=areas), Truncation(max_total=7))
 
 
 @given(st.integers(min_value=1, max_value=2), st.integers(min_value=1, max_value=8))
@@ -106,22 +126,25 @@ def test_default_truncation_scales_with_areas():
 # --- routing -----------------------------------------------------------------
 
 
+def share(policy, cfg, n1, n2, m):
+    return sc_carrier1_share(policy, cfg.areas[0], n1, n2, m)
+
+
 def test_jfq_route_examples():
-    assert jfq_route(SystemState((2, 1, 0)), 0, single(1, 1)) is Routing.CARRIER2
-    assert jfq_route(SystemState((0, 1, 0)), 0, single(1, 2)) is Routing.TIE
-    assert jfq_route(SystemState((0, 0, 1)), 0, single(1, 2)) is Routing.CARRIER2
+    assert share(Policy.JFQ, single(1, 1), 2, 1, 0) == 0.0
+    assert share(Policy.JFQ, single(1, 2), 0, 1, 0) == 0.5
+    assert share(Policy.JFQ, single(1, 2), 0, 0, 1) == 0.0
 
 
 def test_jfq_route_exact_tie_with_decimal_capacities():
     # 1.3/(0+0+1) vs 2.6/(1+0+1): exact tie thanks to rational arithmetic
-    cfg = single("1.3", "2.6")
-    assert jfq_route(SystemState((0, 1, 0)), 0, cfg) is Routing.TIE
+    assert share(Policy.JFQ, single("1.3", "2.6"), 0, 1, 0) == 0.5
 
 
 def test_jsq_route_compares_totals():
-    assert jsq_route(SystemState((1, 2, 0)), 0, single(1, 2)) is Routing.CARRIER1
-    assert jsq_route(SystemState((2, 1, 0)), 0, single(1, 2)) is Routing.CARRIER2
-    assert jsq_route(SystemState((1, 1, 1)), 0, single(1, 2)) is Routing.TIE
+    assert share(Policy.JSQ, single(1, 2), 1, 2, 0) == 1.0
+    assert share(Policy.JSQ, single(1, 2), 2, 1, 0) == 0.0
+    assert share(Policy.JSQ, single(1, 2), 1, 1, 1) == 0.5
 
 
 @given(
@@ -133,10 +156,41 @@ def test_jsq_route_compares_totals():
     st.fractions(min_value=Fraction(1, 7), max_value=9, max_denominator=11),
 )
 def test_jfq_route_scale_invariant(n1, n2, m, c1, c2, lam):
-    state = SystemState((n1, n2, m))
-    base = jfq_route(state, 0, single(c1, c2))
-    scaled = jfq_route(state, 0, single(c1 * lam, c2 * lam))
-    assert base is scaled
+    base = share(Policy.JFQ, single(c1, c2), n1, n2, m)
+    scaled = share(Policy.JFQ, single(c1 * lam, c2 * lam), n1, n2, m)
+    assert base == scaled
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    caps=st.sampled_from([
+        (1, 2), (1, "1.3"), ("1.3", "2.6"), (0.1 + 0.2, 0.7),
+        # exact ratio near 1e39/21: fastest-queue cross-products pass int64
+        (Fraction(10**20 + 1, 3), Fraction(7, 10**19 + 3)),
+    ]),
+    two_areas=st.booleans(),
+    policy=st.sampled_from(list(Policy)),
+    phi=st.sampled_from([0.3, 1.0]),
+    max_total=st.integers(min_value=1, max_value=6),
+)
+def test_generator_sc_arrivals_follow_the_routing_rule(caps, two_areas, policy, phi, max_total):
+    areas = (AreaSpec(*caps, 0.5), AreaSpec(1, 3, 0.5)) if two_areas else (AreaSpec(*caps, 1.0),)
+    cfg = CellConfig(areas=areas)
+    traffic = TrafficMix(0.5 * harmonic_capacity(cfg), phi, 1.0)
+    gen = build_generator(cfg, traffic, Truncation(max_total=max_total), policy)
+    space = gen.space
+    for i in range(len(space)):
+        if space.total[i] == max_total:
+            continue  # arrivals from the top layer are dropped
+        counts = [int(c) for c in space.counts[i]]
+        n1, n2, m = sum(counts[0::3]), sum(counts[1::3]), sum(counts[2::3])
+        for j, area in enumerate(cfg.areas):
+            alpha_j = traffic.area_rates(cfg, j)[0]
+            p1 = sc_carrier1_share(policy, area, n1, n2, m)
+            for slot, rate in ((0, alpha_j * p1), (1, alpha_j * (1.0 - p1))):
+                to = list(counts)
+                to[3 * j + slot] += 1
+                assert gen.Q[i, space.index_of(to)] == rate
 
 
 # --- generator structure -------------------------------------------------------
@@ -281,6 +335,18 @@ def dense_stationary(gen):
     rhs = np.zeros(a.shape[0])
     rhs[-1] = 1.0
     return np.linalg.solve(a, rhs)
+
+
+def test_polish_stops_when_the_residual_stalls():
+    # a positive diagonal breaks the zero row sums; the reduced solve never
+    # reads it, and the polish stops after the first chunk that does not help
+    gen = mixed_gen(rho=0.5, phi=0.5, max_total=12)
+    bad = gen.Q.tolil()
+    bad[0, 0] = 1.0
+    gen = dataclasses.replace(gen, Q=bad.tocsr())
+    with pytest.raises(ConvergenceError) as err:
+        solve_stationary(gen)
+    assert 2 <= len(err.value.residual_trace) <= 3
 
 
 def test_solver_methods_agree():

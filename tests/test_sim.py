@@ -1,5 +1,6 @@
 import math
 from collections import Counter, defaultdict
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy.stats import chisquare, t
 
 from caflow.ctmc import Truncation, build_generator, solve_model
 from caflow.errors import ConfigError, NoDataError
-from caflow.model import CellConfig, Policy, TrafficMix
+from caflow.model import CellConfig, Policy, TrafficMix, harmonic_capacity
 from caflow.sim import (
     FlowRecord,
     Stop,
@@ -189,6 +190,27 @@ def test_jfq_jsq_identical_trajectories_at_equal_capacity():
     assert rep_jfq.trace == rep_jsq.trace
     assert rep_jfq.estimates == rep_jsq.estimates
     assert rep_jfq.sim_time == rep_jsq.sim_time
+
+
+@pytest.mark.parametrize(
+    "cfg, policy, events, sim_time",
+    [
+        (single(1, 2), Policy.JFQ, 4000, 1106.769145434741),
+        (single(1, 2), Policy.JSQ, 4006, 1105.4152916828857),
+        (single(1, 2), Policy.BERNOULLI, 4001, 1094.2243959482348),
+        # c1/c2 = 1e39: p1 rounds to 1.0, yet every Bernoulli arrival still
+        # consumes a uniform
+        (single(10**20, Fraction(1, 10**19)), Policy.BERNOULLI, 4004, 3.2662189353083796e-17),
+    ],
+)
+def test_simulate_random_stream_use_is_pinned(cfg, policy, events, sim_time):
+    # a uniform is drawn on a routing tie and on every Bernoulli arrival only;
+    # any other draw pattern shifts the stream and these values
+    traffic = TrafficMix(0.6 * harmonic_capacity(cfg), 0.5, 1.0)
+    rep = simulate(cfg, traffic, policy, stop=Stop(completions=2000),
+                   warmup=Warmup(0.1, 100), seed=3)
+    assert rep.events == events
+    assert rep.sim_time == sim_time
 
 
 def test_instability_flag_matches_load_sign():
