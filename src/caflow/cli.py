@@ -832,6 +832,20 @@ def _check_routing_scale_invariance(_gen_factory, _max_states):
     return f"{checked} routing decisions invariant under capacity scaling"
 
 
+def _check_jfq_joins_fastest(_gen_factory, _max_states):
+    # (c1, c2), state (n1, n2, m), carrier 1's share: the faster carrier wins,
+    # and post-arrival rates 1/1 and 2/2 tie
+    cases = [((1, 2), (0, 0, 0), 0.0), ((2, 1), (0, 0, 0), 1.0), ((1, 2), (0, 1, 0), 0.5)]
+    for (c1, c2), state, expected in cases:
+        share = sc_carrier1_share(Policy.JFQ, CellConfig.single_area(c1, c2).areas[0], *state)
+        if share != expected:
+            raise CheckFailed(
+                f"carrier 1 gets share {share} on (c1, c2) = {(c1, c2)} in state {state}, "
+                f"expected {expected}"
+            )
+    return f"{len(cases)} routing decisions join the faster carrier or split a tie"
+
+
 def _check_vb_conservation(_gen_factory, _max_states):
     worst = 0.0
     for c1, c2 in [(1, 2), ("1.3", "0.7"), (Fraction(5, 3), Fraction(7, 11))]:
@@ -872,6 +886,7 @@ VALIDATION_CHECKS = [
     ("stationary-solution", _check_stationary_solution),
     ("jfq-jsq-identity", _check_jfq_jsq_identity),
     ("routing-scale-invariance", _check_routing_scale_invariance),
+    ("jfq-joins-fastest", _check_jfq_joins_fastest),
     ("vb-conservation", _check_vb_conservation),
     ("csv-determinism", _check_csv_determinism),
 ]

@@ -130,33 +130,6 @@ class SimReport:
         return self.estimates[(kind, area)]
 
 
-class _Draws:
-    """Block-buffered RNG draws; consumption order is part of determinism."""
-
-    def __init__(self, rng: np.random.Generator):
-        self._rng = rng
-        self._exp = rng.standard_exponential(_BLOCK)
-        self._uni = rng.random(_BLOCK)
-        self._ei = 0
-        self._ui = 0
-
-    def expo(self) -> float:
-        if self._ei == _BLOCK:
-            self._exp = self._rng.standard_exponential(_BLOCK)
-            self._ei = 0
-        value = self._exp[self._ei]
-        self._ei += 1
-        return value
-
-    def unif(self) -> float:
-        if self._ui == _BLOCK:
-            self._uni = self._rng.random(_BLOCK)
-            self._ui = 0
-        value = self._uni[self._ui]
-        self._ui += 1
-        return value
-
-
 def _ols_trend(times: np.ndarray, values: np.ndarray) -> TrendStats:
     n = len(times)
     if n < 3 or np.ptp(times) == 0:
@@ -190,21 +163,35 @@ def simulate(
     """Sample one trajectory of the occupancy Markov process.
 
     The result is a deterministic function of all arguments; ``(seed,
-    stream)`` select an independent random stream per replication.
+    stream)`` select an independent random stream per replication. Draws
+    come from two blocks of ``_BLOCK`` values, exponentials then uniforms,
+    each refilled from the generator only when used up. One exponential is
+    taken for each holding time and each arrival's volume; one uniform for
+    each event choice, each departure's victim, and each Bernoulli arrival
+    or routing tie. Changing this order changes every answer.
     """
     routing = Policy(policy)
     n_areas = cfg.n_areas
-    sigma = traffic.sigma
-    alpha_j = [traffic.area_rates(cfg, j)[0] for j in range(n_areas)]
-    beta_j = [traffic.area_rates(cfg, j)[1] for j in range(n_areas)]
-    c1 = [a.c1 for a in cfg.areas]
-    c2 = [a.c2 for a in cfg.areas]
+    sigma = float(traffic.sigma)
+    caps = [(a.c1, a.c2) for a in cfg.areas]
+    # arrival rates never change: alpha_j, beta_j per area, then their total;
+    # Python floats keep numpy scalars out of the per-event arithmetic
+    rates: list[float] = []
+    arrival_total = 0.0
+    for j in range(n_areas):
+        alpha, beta = map(float, traffic.area_rates(cfg, j))
+        rates += (alpha, beta)
+        arrival_total += alpha + beta
+    n_arrival = len(rates)
+    rates += [0.0] * (3 * n_areas)
 
     rng = np.random.default_rng((seed, stream))
-    draws = _Draws(rng)
+    exps = rng.standard_exponential(_BLOCK).tolist()
+    unis = rng.random(_BLOCK).tolist()
+    ei = ui = 0
 
     counts = [[0, 0, 0] for _ in range(n_areas)]  # per area: [n1j, n2j, mj]
-    n1 = n2 = m = 0
+    totals = [0, 0, 0]  # cell-wide n1, n2, m
     # per (slot, area): arrival times and sampled volumes of active flows
     reg_t: list[list[list[float]]] = [[[] for _ in range(n_areas)] for _ in range(3)]
     reg_v: list[list[list[float]]] = [[[] for _ in range(n_areas)] for _ in range(3)]
@@ -220,7 +207,7 @@ def simulate(
     thin = 1
     since_thin = 0
 
-    occ = [0.0] * (3 * n_areas)
+    occ = [[0.0, 0.0, 0.0] for _ in range(n_areas)]
     trace: list[TraceEvent] = []
 
     t = 0.0
@@ -229,59 +216,50 @@ def simulate(
     horizon = stop.horizon
     target = stop.completions
 
-    def record_traj():
-        nonlocal thin, since_thin
-        since_thin += 1
-        if since_thin >= thin:
-            since_thin = 0
-            traj_t.append(t)
-            traj_n.append(float(n1 + n2 + m))
-            if len(traj_t) >= _TRAJ_CAP:
-                del traj_t[1:-1:2]
-                del traj_n[1:-1:2]
-                thin *= 2
-
-    def snapshot() -> tuple[int, ...]:
-        return tuple(v for area in counts for v in area)
-
-    while True:
-        if target is not None and completions >= target:
-            break
-        rates = []
-        total_rate = 0.0
-        for j in range(n_areas):
-            rates.append(alpha_j[j])
-            rates.append(beta_j[j])
-            total_rate += alpha_j[j] + beta_j[j]
-        for j in range(n_areas):
-            n1j, n2j, mj = counts[j]
-            r1 = n1j * c1[j] / ((n1 + m) * sigma) if n1j else 0.0
-            r2 = n2j * c2[j] / ((n2 + m) * sigma) if n2j else 0.0
-            r3 = mj * (c1[j] / (n1 + m) + c2[j] / (n2 + m)) / sigma if mj else 0.0
-            rates.extend((r1, r2, r3))
+    while target is None or completions < target:
+        n1, n2, m = totals
+        k1 = n1 + m
+        k2 = n2 + m
+        total_rate = arrival_total
+        i = n_arrival
+        for (n1j, n2j, mj), (c1, c2) in zip(counts, caps):
+            r1 = n1j * c1 / (k1 * sigma) if n1j else 0.0
+            r2 = n2j * c2 / (k2 * sigma) if n2j else 0.0
+            r3 = mj * (c1 / k1 + c2 / k2) / sigma if mj else 0.0
+            rates[i] = r1
+            rates[i + 1] = r2
+            rates[i + 2] = r3
+            i += 3
             total_rate += r1 + r2 + r3
-        if total_rate <= 0.0:
-            if horizon is not None and t < horizon:
-                for j in range(n_areas):
-                    for k in range(3):
-                        occ[3 * j + k] += counts[j][k] * (horizon - t)
-                t = horizon
+        if total_rate > 0.0:
+            if ei == _BLOCK:
+                exps, ei = rng.standard_exponential(_BLOCK).tolist(), 0
+            dt = exps[ei] / total_rate
+            ei += 1
+        elif horizon is None:
             break
-        dt = draws.expo() / total_rate
-        if horizon is not None and t + dt >= horizon:
+        else:
+            dt = math.inf  # no event can occur: the state holds until the horizon
+        at_horizon = horizon is not None and t + dt >= horizon
+        if at_horizon:
             dt = horizon - t
-            for j in range(n_areas):
-                for k in range(3):
-                    occ[3 * j + k] += counts[j][k] * dt
+        for (a, b, c), oj in zip(counts, occ):  # skipping 0 * dt leaves each sum unchanged
+            if a:
+                oj[0] += a * dt
+            if b:
+                oj[1] += b * dt
+            if c:
+                oj[2] += c * dt
+        if at_horizon:
             t = horizon
             break
-        for j in range(n_areas):
-            for k in range(3):
-                occ[3 * j + k] += counts[j][k] * dt
         t += dt
         events += 1
 
-        u = draws.unif() * total_rate
+        if ui == _BLOCK:
+            unis, ui = rng.random(_BLOCK).tolist(), 0
+        u = unis[ui] * total_rate
+        ui += 1
         chosen = 0
         for chosen, r in enumerate(rates):
             if u < r:
@@ -289,62 +267,64 @@ def simulate(
             u -= r
         while rates[chosen] <= 0.0:  # guard against roundoff walking past the end
             chosen -= 1
-        if chosen < 2 * n_areas:
+        arrival = chosen < n_arrival
+        if arrival:
             j, is_dc = divmod(chosen, 2)
             if is_dc:
                 slot = 2
-                label = "T3"
             else:
                 share = sc_carrier1_share(routing, cfg.areas[j], n1, n2, m)
-                # a uniform is drawn on every Bernoulli arrival and on a tie only
                 if routing is Policy.BERNOULLI or share == 0.5:
-                    slot = 0 if draws.unif() < share else 1
+                    if ui == _BLOCK:
+                        unis, ui = rng.random(_BLOCK).tolist(), 0
+                    slot = 0 if unis[ui] < share else 1
+                    ui += 1
                 else:
                     slot = 0 if share else 1
-                label = "T1" if slot == 0 else "T2"
-            volume = draws.expo() * sigma
-            counts[j][slot] += 1
-            if slot == 0:
-                n1 += 1
-            elif slot == 1:
-                n2 += 1
-            else:
-                m += 1
+            if ei == _BLOCK:
+                exps, ei = rng.standard_exponential(_BLOCK).tolist(), 0
             reg_t[slot][j].append(t)
-            reg_v[slot][j].append(volume)
+            reg_v[slot][j].append(exps[ei] * sigma)
+            ei += 1
+            counts[j][slot] += 1
+            totals[slot] += 1
         else:
-            k = chosen - 2 * n_areas
-            j, slot = divmod(k, 3)
-            label = f"T{4 + slot}"
+            j, slot = divmod(chosen - n_arrival, 3)
             group_t = reg_t[slot][j]
             group_v = reg_v[slot][j]
-            victim = int(draws.unif() * len(group_t))
-            arrived = group_t[victim]
-            volume = group_v[victim]
+            if ui == _BLOCK:
+                unis, ui = rng.random(_BLOCK).tolist(), 0
+            victim = int(unis[ui] * len(group_t))
+            ui += 1
+            done_arr.append(group_t[victim])
+            done_vol.append(group_v[victim])
             group_t[victim] = group_t[-1]
             group_v[victim] = group_v[-1]
             group_t.pop()
             group_v.pop()
             counts[j][slot] -= 1
-            if slot == 0:
-                n1 -= 1
-            elif slot == 1:
-                n2 -= 1
-            else:
-                m -= 1
+            totals[slot] -= 1
             done_kind.append(0 if slot < 2 else 1)
             done_area.append(j)
-            done_vol.append(volume)
-            done_arr.append(arrived)
             done_at.append(t)
             completions += 1
-        record_traj()
+        since_thin += 1
+        if since_thin >= thin:
+            since_thin = 0
+            traj_t.append(t)
+            traj_n.append(float(sum(totals)))
+            if len(traj_t) >= _TRAJ_CAP:
+                del traj_t[1:-1:2]
+                del traj_n[1:-1:2]
+                thin *= 2
         if collect_trace and len(trace) < collect_trace:
-            trace.append(TraceEvent(time=t, label=label, area=j, state_after=snapshot()))
+            label = f"T{slot + 1 if arrival else slot + 4}"
+            state = tuple(v for area in counts for v in area)
+            trace.append(TraceEvent(time=t, label=label, area=j, state_after=state))
 
     end_time = t
     traj_t.append(end_time)
-    traj_n.append(float(n1 + n2 + m))
+    traj_n.append(float(sum(totals)))
 
     # instability: least-squares slope of the population over evenly spaced samples
     times = np.frombuffer(traj_t, dtype=np.float64)
@@ -392,7 +372,7 @@ def simulate(
     occupancy = {}
     for j in range(n_areas):
         for k, name in enumerate(("n1", "n2", "m")):
-            occupancy[(name, j)] = occ[3 * j + k] / end_time if end_time > 0 else 0.0
+            occupancy[(name, j)] = occ[j][k] / end_time if end_time > 0 else 0.0
 
     records = None
     if return_records:

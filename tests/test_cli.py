@@ -308,6 +308,23 @@ def test_run_validate_detects_corrupted_generator(capsys):
     assert "[FAIL] generator-row-sums" in out
 
 
+def test_run_validate_detects_jfq_joining_the_slower_carrier(capsys, monkeypatch):
+    rule = cli.sc_carrier1_share
+
+    def swapped(policy, area, n1, n2, m):
+        if policy is not Policy.JFQ:
+            return rule(policy, area, n1, n2, m)
+        b, a = area.ratio_pair  # a/b = c2/c1: the slower carrier looks faster
+        lhs, rhs = a * (n2 + m + 1), b * (n1 + m + 1)
+        return (lhs > rhs) + 0.5 * (lhs == rhs)
+
+    monkeypatch.setattr(cli, "sc_carrier1_share", swapped)
+    assert run_validate() == 3
+    out = capsys.readouterr().out
+    assert "[FAIL] jfq-joins-fastest" in out
+    assert out.count("[FAIL]") == 1
+
+
 def test_run_validate_reports_skips(capsys):
     def tiny_budget_factory():
         raise cli.StateSpaceTooLargeError("budget exceeded for this check")

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from collections import Counter, defaultdict
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 from scipy.special import stdtrit
 from scipy.stats import chisquare, t
 
+from caflow.capacity import scenario_presets
 from caflow.ctmc import Truncation, build_generator, solve_model
 from caflow.errors import ConfigError, NoDataError
 from caflow.model import CellConfig, Policy, TrafficMix, harmonic_capacity
@@ -211,6 +213,90 @@ def test_simulate_random_stream_use_is_pinned(cfg, policy, events, sim_time):
                    warmup=Warmup(0.1, 100), seed=3)
     assert rep.events == events
     assert rep.sim_time == sim_time
+
+
+def _trace_digest(trace):
+    rows = [(ev.time.hex(), ev.label, ev.area, ev.state_after) for ev in trace]
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+_DC_HSDPA = scenario_presets("dc-hsdpa")[0]
+
+
+@pytest.mark.parametrize(
+    "cfg, traffic, policy, stop, collect_trace, expected",
+    [
+        (  # two areas, mixed traffic, completion stop
+            _DC_HSDPA, TrafficMix(0.8 * harmonic_capacity(_DC_HSDPA), 0.5, 1.0), Policy.JFQ,
+            Stop(completions=30_000), 0,
+            dict(
+                events=60003, sim_time="0x1.4221e603f3b29p+13",
+                estimates={
+                    ("dc", 0): ("0x1.590e201379ab3p+2", "0x1.fc09a6d4956dcp-2", 6600),
+                    ("dc", 1): ("0x1.125149c32d621p-1", "0x1.790175444ff2fp-5", 6749),
+                    ("sc", 0): ("0x1.6e32a9fbf847dp+1", "0x1.1a17603ebe6a7p-2", 6786),
+                    ("sc", 1): ("0x1.3551e494ba160p-2", "0x1.d4b3d974af56fp-6", 6813),
+                },
+                occupancy={
+                    ("m", 0): "0x1.15a6e02922c10p-3", ("m", 1): "0x1.6361c8fb2a0e4p+0",
+                    ("n1", 0): "0x1.030a38003dbd6p-3", ("n1", 1): "0x1.364eb9f2fea69p+0",
+                    ("n2", 0): "0x1.051ee75b97283p-3", ("n2", 1): "0x1.3a3a845ce5419p+0",
+                },
+                trend=("0x1.8f8e7860f2d37p-12", "0x1.6c15037aec889p+1", False),
+                trace=(0, hashlib.sha256(b"[]").hexdigest()),
+            ),
+        ),
+        (  # the horizon ends the run, with one flow still in service
+            single(1, 2), TrafficMix(1.6, 0.5, 1.0), Policy.BERNOULLI,
+            Stop(horizon=2400.0), 0,
+            dict(
+                events=7763, sim_time=(2400.0).hex(),
+                estimates={
+                    ("dc", 0): ("0x1.96390244579fdp+0", "0x1.c57ffaffe670fp-3", 1398),
+                    ("sc", 0): ("0x1.a2ffb6ce36fa2p-1", "0x1.7395b093d7ecdp-4", 1483),
+                },
+                occupancy={
+                    ("m", 0): "0x1.093ef2d46508ep-1", ("n1", 0): "0x1.017598ebb4f26p-1",
+                    ("n2", 0): "0x1.002df9accda40p-1",
+                },
+                trend=("-0x1.6523858ab132ep-12", "-0x1.9629ec4f79443p+0", False),
+                trace=(0, hashlib.sha256(b"[]").hexdigest()),
+            ),
+        ),
+        (  # event trace collected
+            single(1, 2), TrafficMix(1.8, 0.5, 1.0), Policy.JSQ,
+            Stop(completions=3000), 2500,
+            dict(
+                events=6002, sim_time="0x1.9d17a7a16447cp+10",
+                estimates={
+                    ("dc", 0): ("0x1.519eff0603580p+0", "0x1.e341089c420f5p-3", 953),
+                    ("sc", 0): ("0x1.7e9861893685dp-1", "0x1.c9673a63cbd01p-4", 1047),
+                },
+                occupancy={
+                    ("m", 0): "0x1.46073bdd8474dp-1", ("n1", 0): "0x1.5871c53107960p-1",
+                    ("n2", 0): "0x1.e546c399c5021p-2",
+                },
+                trend=("0x1.4fe47a54bb48ep-12", "0x1.5210b62c8f1b0p-1", False),
+                trace=(2500, "c5186f77b5d0159e5126a679f37583e80ca33685758f44ac66bb13382abec843"),
+            ),
+        ),
+    ],
+    ids=["dc-hsdpa-jfq", "horizon-bernoulli", "trace-jsq"],
+)
+def test_simulate_output_is_pinned(cfg, traffic, policy, stop, collect_trace, expected):
+    # every reported figure, bit for bit, as float.hex
+    rep = simulate(cfg, traffic, policy, stop=stop, warmup=Warmup(0.1, 1000), seed=5,
+                   collect_trace=collect_trace)
+    assert rep.events == expected["events"]
+    assert rep.sim_time.hex() == expected["sim_time"]
+    estimates = {key: (est.gamma_hat.hex(), est.half_width.hex(), est.completions)
+                 for key, est in rep.estimates.items()}
+    assert estimates == expected["estimates"]
+    assert {key: v.hex() for key, v in rep.occupancy.items()} == expected["occupancy"]
+    assert all(type(v) is float for v in rep.occupancy.values())
+    trend = (rep.trend.slope.hex(), rep.trend.t_stat.hex(), rep.trend.unstable)
+    assert trend == expected["trend"]
+    assert (len(rep.trace), _trace_digest(rep.trace)) == expected["trace"]
 
 
 def test_instability_flag_matches_load_sign():
