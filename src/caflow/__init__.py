@@ -16,7 +16,6 @@ from .errors import (
     DegenerateSolveError,
     EmptyCarrierError,
     InfeasibleTargetError,
-    NoDataError,
     StateSpaceTooLargeError,
     UnstableSystemError,
     UnsupportedGeometryError,

@@ -2,9 +2,9 @@
 
 The mean throughput at the cell edge decreases monotonically with the offered
 traffic intensity theta = lambda * sigma, so the largest theta meeting a
-target is found by bisection. Three evaluators are available: the exact
-truncated-chain solver, the event simulator (with noise-aware probe
-acceptance), and the closed-form approximation.
+target is found by bisection over the exact truncated-chain solver or the
+event simulator (with noise-aware probe acceptance); the closed-form
+approximation is inverted exactly, in one probe.
 
 Bundled scenario presets model a two-carrier cell with a strong center and a
 ten-times-weaker edge; the externally reported capacity figures for these
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ctmc import DEFAULT_STATE_BUDGET, solve_model
+from .ctmc import solve_model
 from .errors import ConfigError, InfeasibleTargetError
 from .model import (
     AreaSpec,
@@ -26,6 +26,7 @@ from .model import (
     TrafficMix,
     harmonic_capacity,
     mixed_mean_throughput,
+    theta_approximation,
 )
 from .sim import Stop, Warmup, simulate
 
@@ -33,6 +34,11 @@ EVALUATORS = ("ctmc", "sim", "approx")
 
 #: load never probed at or beyond this fraction of capacity
 RHO_CEILING = 0.999
+
+#: completions of a simulator probe's first run, and how often a probe may
+#: double them while its interval straddles the target and is too wide
+SIM_COMPLETIONS = 30_000
+SIM_MAX_DOUBLINGS = 3
 
 #: reported sustainable-intensity figures for the presets, per SC fraction;
 #: None marks a cell where the target equals the zero-load edge throughput
@@ -77,27 +83,21 @@ def reference_theta(name: str, phi: float) -> float | None:
 
 @dataclass(frozen=True)
 class CapacityQuery:
-    """One throughput-target inversion problem.
+    """One throughput-target inversion problem at the cell edge (the last area).
 
-    ``area`` defaults to the cell edge (the last area). ``rel_tol`` bounds
-    the final bracket width relative to theta. Simulator probes are sized so
-    their confidence interval either excludes the target or is narrower than
-    the theta tolerance mapped into throughput units.
+    ``rel_tol`` bounds the final bracket width relative to theta. Simulator
+    probes are sized so their confidence interval either excludes the target
+    or is narrower than the theta tolerance mapped into throughput units.
     """
 
     cfg: CellConfig
     phi: float
     target_gamma: float
-    area: int | None = None
     evaluator: str = "ctmc"
     rel_tol: float = 0.01
     sigma: float = 1.0
     seed: int = 0
     policy: Policy = Policy.JFQ
-    target_blocking: float = 1e-8
-    max_states: int = DEFAULT_STATE_BUDGET
-    sim_completions: int = 30_000
-    sim_max_doublings: int = 3
 
     def __post_init__(self):
         if self.evaluator not in EVALUATORS:
@@ -106,10 +106,6 @@ class CapacityQuery:
             raise ConfigError("target throughput must be > 0")
         if self.rel_tol <= 0:
             raise ConfigError("tolerance must be > 0")
-
-    @property
-    def edge(self) -> int:
-        return self.cfg.edge if self.area is None else self.area
 
 
 @dataclass(frozen=True)
@@ -140,7 +136,7 @@ def zero_load_edge_throughput(cfg: CellConfig, phi: float, area: int) -> float:
     return phi * spec.c_max + (1.0 - phi) * spec.c_total
 
 
-def _gamma_from_report(report, phi: float, area: int) -> float:
+def _gamma_from_report(report, area: int) -> float:
     value = report.gamma_bar(area)
     if value is None:
         raise ConfigError("evaluator produced no edge throughput for the requested mix")
@@ -148,38 +144,21 @@ def _gamma_from_report(report, phi: float, area: int) -> float:
 
 
 def _make_evaluator(query: CapacityQuery, gamma_tol: float):
-    cfg, phi, area = query.cfg, query.phi, query.edge
-    if query.evaluator == "approx":
-        c_bar = harmonic_capacity(cfg)
-        gamma0 = zero_load_edge_throughput(cfg, phi, area)
-
-        def probe_approx(theta: float, _probe_id: int) -> Probe:
-            rho = theta / c_bar
-            return Probe(theta=theta, gamma=gamma0 * (1.0 - rho), half_width=None)
-
-        return probe_approx
-
+    cfg, phi, area = query.cfg, query.phi, query.cfg.edge
     if query.evaluator == "ctmc":
 
         def probe_ctmc(theta: float, _probe_id: int) -> Probe:
             traffic = TrafficMix(theta / query.sigma, phi, query.sigma)
-            report, _ = solve_model(
-                cfg,
-                traffic,
-                query.policy,
-                target_blocking=query.target_blocking,
-                max_states=query.max_states,
-            )
-            return Probe(theta=theta, gamma=_gamma_from_report(report, phi, area),
-                         half_width=None)
+            report, _ = solve_model(cfg, traffic, query.policy)
+            return Probe(theta=theta, gamma=_gamma_from_report(report, area), half_width=None)
 
         return probe_ctmc
 
     def probe_sim(theta: float, probe_id: int) -> Probe:
         traffic = TrafficMix(theta / query.sigma, phi, query.sigma)
-        completions = query.sim_completions
+        completions = SIM_COMPLETIONS
         gamma = half = None
-        for round_ in range(query.sim_max_doublings + 1):
+        for round_ in range(SIM_MAX_DOUBLINGS + 1):
             rep = simulate(
                 cfg,
                 traffic,
@@ -214,10 +193,12 @@ def max_sustainable_intensity(query: CapacityQuery) -> CapacityResult:
     the zero-load throughput, the upper end delivers (arbitrarily close to)
     zero, and the response is monotone non-increasing in between. The upper
     endpoint itself is never evaluated. A target equal to the zero-load
-    throughput yields theta = 0; a larger target is infeasible.
+    throughput yields theta = 0; a larger target is infeasible. The
+    ``approx`` evaluator is the closed form of
+    :func:`~caflow.model.theta_approximation`, returned as one exact probe.
     """
-    cfg, phi, area = query.cfg, query.phi, query.edge
-    gamma0 = zero_load_edge_throughput(cfg, phi, area)
+    cfg, phi = query.cfg, query.phi
+    gamma0 = zero_load_edge_throughput(cfg, phi, cfg.edge)
     target = query.target_gamma
     if target > gamma0 * (1.0 + 1e-12):
         raise InfeasibleTargetError(
@@ -228,6 +209,12 @@ def max_sustainable_intensity(query: CapacityQuery) -> CapacityResult:
             theta_star=0.0, achieved_gamma=gamma0, brackets=((0.0, 0.0),), probes=(),
             evaluator=query.evaluator,
             note="target equals the zero-load edge throughput; only an empty cell attains it",
+        )
+    if query.evaluator == "approx":
+        theta = theta_approximation(cfg, phi, target).theta
+        return CapacityResult(
+            theta_star=theta, achieved_gamma=target, brackets=((theta, theta),),
+            probes=(Probe(theta=theta, gamma=target, half_width=None),), evaluator="approx",
         )
 
     c_bar = harmonic_capacity(cfg)

@@ -19,11 +19,6 @@ All CSV output uses 6 significant digits, ``.`` decimals, LF endings, UTF-8,
 and carries ``# key=value`` header lines naming the configuration, policy,
 evaluator, truncation, and seed, so every dataset is regenerable from its own
 file. Identical inputs produce byte-identical files.
-
-Debug dumps (:func:`caflow.ctmc.dump_distribution_csv`,
-:func:`caflow.ctmc.dump_generator_csv`) list state components first, value
-last: ``n1_1,n2_1,m_1,...,probability`` for a distribution and
-``from_<comps>,to_<comps>,rate`` for a generator, one row per matrix entry.
 """
 
 from __future__ import annotations
@@ -56,6 +51,7 @@ from .errors import (
     ConfigError,
     ConvergenceError,
     DegenerateSolveError,
+    InfeasibleTargetError,
     StateSpaceTooLargeError,
 )
 from .model import (
@@ -72,7 +68,7 @@ from .model import (
     sc_carrier1_share,
     vb_split,
 )
-from .sim import Stop, Warmup, simulate
+from .sim import CI_LEVEL, Stop, Warmup, simulate
 
 WORKERS_ENV = "CAFLOW_WORKERS"
 
@@ -397,17 +393,9 @@ def _solve_row(spec_policy, traffic, rho, report) -> list:
     return row
 
 
-def run_solve(
-    spec: RunSpec,
-    out_dir: Path,
-    *,
-    tolerance: float = SOLVE_TOL,
-    max_states: int = DEFAULT_STATE_BUDGET,
-) -> Path:
+def run_solve(spec: RunSpec, out_dir: Path, *, tolerance: float = SOLVE_TOL) -> Path:
     trunc = Truncation(max_total=spec.max_total) if spec.max_total else None
-    report, _ = solve_model(
-        spec.cfg, spec.traffic, spec.policy, trunc, tol=tolerance, max_states=max_states
-    )
+    report, _ = solve_model(spec.cfg, spec.traffic, spec.policy, trunc, tol=tolerance)
     rho = offered_load(spec.cfg, spec.traffic).rho
     meta = [
         ("dataset", "solve"),
@@ -466,7 +454,7 @@ def run_simulate(
         ("evaluator", "sim"),
         ("truncation", "none"),
         ("seed", str(spec.seed)),
-        ("ci_level", "0.95"),
+        ("ci_level", f"{CI_LEVEL:g}"),
     ]
     path = write_csv(out_dir / "simulate.csv", meta, cols, [row])
     if trace_limit > 0:
@@ -481,11 +469,11 @@ def run_simulate(
 
 
 def _sweep_worker(payload):
-    cfg, sigma, policy, rho, phi, max_total, tolerance, max_states = payload
+    cfg, sigma, policy, rho, phi, max_total, tolerance = payload
     lam = rho * harmonic_capacity(cfg) / sigma
     traffic = TrafficMix(lam, phi, sigma)
     trunc = Truncation(max_total=max_total) if max_total else None
-    report, _ = solve_model(cfg, traffic, policy, trunc, tol=tolerance, max_states=max_states)
+    report, _ = solve_model(cfg, traffic, policy, trunc, tol=tolerance)
     return _solve_row(policy, traffic, rho, report)
 
 
@@ -503,13 +491,11 @@ def run_sweep(
     out_dir: Path,
     *,
     tolerance: float = SOLVE_TOL,
-    max_states: int = DEFAULT_STATE_BUDGET,
     workers: int | None = None,
 ) -> Path:
     workers = resolve_workers() if workers is None else workers
     payloads = [
-        (spec.cfg, spec.traffic.sigma, spec.policy, rho, phi, spec.max_total,
-         tolerance, max_states)
+        (spec.cfg, spec.traffic.sigma, spec.policy, rho, phi, spec.max_total, tolerance)
         for rho, phi in grid.points()
     ]
     if workers > 1:
@@ -560,6 +546,7 @@ def run_capacity(
         )
         label = scenario
         cfg = capacity_mod.scenario_presets(scenario)[0]
+        policy = Policy.JFQ  # the presets are solved under fastest-queue routing
     else:
         if spec is None or target is None:
             raise ConfigError("capacity needs --scenario or both --config and --target")
@@ -572,10 +559,11 @@ def run_capacity(
         result = capacity_mod.max_sustainable_intensity(query)
         label = "custom"
         cfg = spec.cfg
+        policy = spec.policy
     meta = [
         ("dataset", "capacity"),
         ("config", _config_summary(cfg)),
-        ("policy", "jfq"),
+        ("policy", policy.value),
         ("evaluator", result.evaluator),
         ("truncation", "auto"),
         ("seed", str(seed)),
@@ -591,7 +579,7 @@ def run_capacity(
 # bundled datasets
 
 
-def _gamma_point(cfg, phi, rho, policy, seed, stream, max_states=REPRO_MAX_STATES):
+def _gamma_point(cfg, phi, rho, policy, seed, stream):
     """(gamma_sc, gamma_dc, gamma_bar, evaluator) at one (rho, phi) point.
 
     Prefers the exact solver; falls back to the simulator when the truncated
@@ -603,7 +591,7 @@ def _gamma_point(cfg, phi, rho, policy, seed, stream, max_states=REPRO_MAX_STATE
     # of being capped to the budget
     start = Truncation(max_total=initial_max_total(cfg, traffic))
     try:
-        report, _ = solve_model(cfg, traffic, policy, start, max_states=max_states)
+        report, _ = solve_model(cfg, traffic, policy, start, max_states=REPRO_MAX_STATES)
         if report.diagnostics.reliable:
             return report.gamma_sc(0), report.gamma_dc(0), report.gamma_bar(0), "ctmc"
     except StateSpaceTooLargeError:
@@ -767,7 +755,7 @@ def _default_generator():
     return build_generator(cfg, traffic, Truncation(max_total=12))
 
 
-def _check_generator_row_sums(gen_factory, _max_states):
+def _check_generator_row_sums(gen_factory):
     gen = gen_factory()
     sums = np.abs(np.asarray(gen.Q.sum(axis=1)).ravel())
     bound = 1e-10 * max(1.0, gen.unif)
@@ -784,7 +772,7 @@ def _check_generator_row_sums(gen_factory, _max_states):
     return f"{gen.Q.shape[0]} states, max |row sum| {sums.max():.2e}"
 
 
-def _check_stationary_solution(gen_factory, max_states):
+def _check_stationary_solution(gen_factory):
     try:
         gen = gen_factory()
         dist = solve_stationary(gen)
@@ -799,7 +787,7 @@ def _check_stationary_solution(gen_factory, max_states):
     return f"residual {dist.residual:.2e}, sum deviation {abs(dist.pi.sum() - 1.0):.2e}"
 
 
-def _check_jfq_jsq_identity(_gen_factory, _max_states):
+def _check_jfq_jsq_identity(_gen_factory):
     cfg = CellConfig.single_area("1.7", "1.7")
     traffic = TrafficMix(2.0, 0.6, 1.0)
     gen_a = build_generator(cfg, traffic, Truncation(max_total=10), Policy.JFQ)
@@ -810,7 +798,7 @@ def _check_jfq_jsq_identity(_gen_factory, _max_states):
     return f"identical matrices with {gen_a.Q.nnz} entries"
 
 
-def _check_routing_scale_invariance(_gen_factory, _max_states):
+def _check_routing_scale_invariance(_gen_factory):
     capacities = [(1, 2), ("1.3", "2.6"), (Fraction(3, 7), Fraction(5, 7)), (10, 14)]
     scales = [2, Fraction(3, 2), Fraction(7, 5), 10]
     checked = 0
@@ -832,7 +820,7 @@ def _check_routing_scale_invariance(_gen_factory, _max_states):
     return f"{checked} routing decisions invariant under capacity scaling"
 
 
-def _check_jfq_joins_fastest(_gen_factory, _max_states):
+def _check_jfq_joins_fastest(_gen_factory):
     # (c1, c2), state (n1, n2, m), carrier 1's share: the faster carrier wins,
     # and post-arrival rates 1/1 and 2/2 tie
     cases = [((1, 2), (0, 0, 0), 0.0), ((2, 1), (0, 0, 0), 1.0), ((1, 2), (0, 1, 0), 0.5)]
@@ -846,7 +834,7 @@ def _check_jfq_joins_fastest(_gen_factory, _max_states):
     return f"{len(cases)} routing decisions join the faster carrier or split a tie"
 
 
-def _check_vb_conservation(_gen_factory, _max_states):
+def _check_vb_conservation(_gen_factory):
     worst = 0.0
     for c1, c2 in [(1, 2), ("1.3", "0.7"), (Fraction(5, 3), Fraction(7, 11))]:
         cfg = CellConfig.single_area(c1, c2)
@@ -863,7 +851,7 @@ def _check_vb_conservation(_gen_factory, _max_states):
     return f"worst relative imbalance {worst:.2e}"
 
 
-def _check_csv_determinism(_gen_factory, _max_states):
+def _check_csv_determinism(_gen_factory):
     spec = parse_config_text(
         "areas.1.c1 = 1\nareas.1.c2 = 2\nareas.1.q = 1\n"
         "traffic.lambda = 1.5\ntraffic.phi = 0.5\ntraffic.sigma = 1\nseed = 3\n"
@@ -892,14 +880,10 @@ VALIDATION_CHECKS = [
 ]
 
 
-def run_validate(
-    generator_factory=None,
-    max_states: int = DEFAULT_STATE_BUDGET,
-    out=None,
-) -> int:
+def run_validate(generator_factory=None, out=None) -> int:
     """Run the structural invariant suite; exit code 0 iff every check passes.
 
-    Checks that cannot run within the state budget report SKIP, not PASS.
+    A check whose generator exceeds the state budget reports SKIP, not PASS.
     """
     out = out if out is not None else sys.stdout
     factory = generator_factory or _default_generator
@@ -907,7 +891,7 @@ def run_validate(
     for name, check in VALIDATION_CHECKS:
         started = time.monotonic()
         try:
-            detail = check(factory, max_states)
+            detail = check(factory)
             status = "PASS"
         except CheckSkipped as exc:
             status, detail = "SKIP", str(exc)
@@ -982,8 +966,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_repro.add_argument("--out", default="out")
     p_repro.add_argument("--seed", type=int, default=0)
 
-    p_val = sub.add_parser("validate", help="run the structural invariant suite")
-    p_val.add_argument("--max-states", type=int, default=DEFAULT_STATE_BUDGET)
+    sub.add_parser("validate", help="run the structural invariant suite")
 
     return parser
 
@@ -993,7 +976,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "validate":
-            return run_validate(max_states=args.max_states)
+            return run_validate()
 
         if args.command == "capacity":
             spec = parse_config(args.config) if args.config else None
@@ -1044,7 +1027,7 @@ def main(argv=None) -> int:
             return 2
         print(path)
         return 0
-    except ConfigError as exc:
+    except (ConfigError, InfeasibleTargetError) as exc:
         print(str(exc), file=sys.stderr)
         return 1
     except (StateSpaceTooLargeError, ConvergenceError, DegenerateSolveError) as exc:

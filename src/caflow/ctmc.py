@@ -12,15 +12,17 @@ state, the other balance equations are solved by GMRES with an
 incomplete-LU preconditioner, and a power-iteration polish then brings the
 balance residual under the tolerance.
 
-Arrivals that would leave the truncated lattice are dropped (loss model); the
-probability mass of dropped arrivals is reported per class and doubles as the
-accuracy gauge for the truncation.
+The truncation is one number, the cap on the total population. Arrivals
+from a state at the cap are dropped (loss model), whatever their class and
+area; the probability mass of dropped arrivals is reported per class and
+doubles as the accuracy gauge for the truncation. In the lattice that
+:func:`solve_model` solves, a class with zero arrival rate has no axis.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -68,120 +70,54 @@ _GMRES_RESTART = 50
 _POLISH_MAX_ITERS = 10**6
 _POLISH_CHUNK = 64
 
+#: doublings of max_total after which solve_model stops growing the lattice
+_MAX_GROW = 8
+
 #: int64 headroom for lattice keys and fastest-queue cross-products
 _INT64_HEADROOM = 2**62
 
 
 @dataclass(frozen=True)
 class Truncation:
-    """Population caps defining the finite state lattice.
-
-    ``max_total`` bounds the total population; ``area_caps`` (optional)
-    bounds each area's population; ``max_sc`` / ``max_dc`` (optional) bound
-    the class totals. A class cap of 0 removes the class's states entirely,
-    which is exact whenever that class has zero arrival rate.
-    """
+    """Cap on the total population, defining the finite state lattice."""
 
     max_total: int
-    area_caps: tuple[int, ...] | None = None
-    max_sc: int | None = None
-    max_dc: int | None = None
 
     def __post_init__(self):
         if self.max_total < 1:
             raise ConfigError(f"max_total must be >= 1, got {self.max_total}")
-        if self.area_caps is not None:
-            caps = tuple(int(c) for c in self.area_caps)
-            object.__setattr__(self, "area_caps", caps)
-            if any(c < 0 or c > self.max_total for c in caps):
-                raise ConfigError("area caps must lie in [0, max_total]")
-        for name in ("max_sc", "max_dc"):
-            v = getattr(self, name)
-            if v is not None and (v < 0 or v > self.max_total):
-                raise ConfigError(f"{name} must lie in [0, max_total], got {v}")
-
-    def effective_area_caps(self, n_areas: int) -> tuple[int, ...]:
-        if self.area_caps is None:
-            return (self.max_total,) * n_areas
-        if len(self.area_caps) != n_areas:
-            raise ConfigError("need one area cap per area")
-        return self.area_caps
-
-    @property
-    def sc_cap(self) -> int:
-        return self.max_total if self.max_sc is None else self.max_sc
-
-    @property
-    def dc_cap(self) -> int:
-        return self.max_total if self.max_dc is None else self.max_dc
 
 
-def default_truncation(cfg: CellConfig) -> Truncation:
-    """Desk-scale default caps: 200 for one area, 60 for two, 40 beyond."""
-    n = cfg.n_areas
-    return Truncation(max_total=200 if n == 1 else (60 if n == 2 else 40))
+def _lattice_size(axes: int, max_total: int) -> int:
+    # points of N^axes whose coordinates sum to at most max_total
+    return math.comb(max_total + axes, axes)
 
 
 def count_states(n_areas: int, trunc: Truncation) -> int:
-    """Exact number of lattice states under the truncation (no enumeration).
-
-    Only available without per-area caps; compositions of the SC total over
-    2J slots and the DC total over J slots are counted independently.
-    """
-    if trunc.area_caps is not None:
-        raise ConfigError("count_states does not support per-area caps")
-    sc_slots, dc_slots = 2 * n_areas, n_areas
-    total = 0
-    for s in range(min(trunc.max_total, trunc.sc_cap) + 1):
-        sc_ways = math.comb(s + sc_slots - 1, sc_slots - 1)
-        d_hi = min(trunc.max_total - s, trunc.dc_cap)
-        # sum_{d=0}^{d_hi} C(d + J - 1, J - 1) = C(d_hi + J, J)
-        total += sc_ways * math.comb(d_hi + dc_slots, dc_slots)
-    return total
+    """Exact number of states of the full 3J-axis lattice (no enumeration)."""
+    return _lattice_size(3 * n_areas, trunc.max_total)
 
 
-def _suggest_max_total(n_areas: int, trunc: Truncation, max_states: int) -> int | None:
-    lo, hi = 0, trunc.max_total
+def _suggest_max_total(axes: int, max_total: int, max_states: int) -> int | None:
+    lo, hi = 0, max_total
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        probe = replace(trunc, max_total=mid, area_caps=None)
-        if count_states(n_areas, probe) <= max_states:
+        if _lattice_size(axes, mid) <= max_states:
             lo = mid
         else:
             hi = mid - 1
     return lo or None
 
 
-def _component_radix(n_areas: int, trunc: Truncation) -> list[int]:
-    """Per-component radix (cap + 1) of the lattice key, in state order.
-
-    A component's cap is the smallest of max_total, its area cap and its
-    class cap, so a pruned class has radix 1. Raises :class:`ConfigError`
-    when the key range reaches 2**62 and would not fit an int64.
-    """
-    area_caps = trunc.effective_area_caps(n_areas)
-    radix = []
-    for cap in area_caps:
-        top = min(trunc.max_total, cap)
-        sc = min(top, trunc.sc_cap) + 1
-        radix += [sc, sc, min(top, trunc.dc_cap) + 1]
-    keys = math.prod(radix)
-    if keys >= _INT64_HEADROOM:
-        raise ConfigError(
-            f"a {n_areas}-area lattice with max_total={trunc.max_total} has {keys} "
-            "candidate keys, at or above the 2**62 limit of the state index; "
-            "lower max_total or set area or class caps"
-        )
-    return radix
-
-
 class StateSpace:
     """Lexicographically ordered enumeration of the truncated lattice.
 
     The index is bijective: ``state_at(index_of(s)) == s``. Each state's key
-    reads its counts as the digits of a mixed-radix number (radix cap + 1
-    per component), so the keys are sorted like the rows. Aggregate count
-    vectors are precomputed for generator assembly.
+    reads its counts as the digits of a mixed-radix number, so the keys are
+    sorted like the rows. A component's radix is its largest count + 1: on an
+    enumerated lattice that is ``max_total + 1``, or 1 on the axis of a class
+    without arrivals. Aggregate count vectors are precomputed for generator
+    assembly.
     """
 
     def __init__(self, counts: np.ndarray, trunc: Truncation):
@@ -193,16 +129,13 @@ class StateSpace:
         self.m = counts[:, 2::3].sum(axis=1, dtype=np.int64)
         self.total = self.n1 + self.n2 + self.m
         self.sc_total = self.n1 + self.n2
-        self._radix = _component_radix(self.n_areas, trunc)
+        self._radix = (counts.max(axis=0).astype(np.int64) + 1).tolist()
         strides = [math.prod(self._radix[i + 1 :]) for i in range(len(self._radix))]
         self._strides = np.array(strides, dtype=np.int64)
         self.keys = counts.astype(np.int64) @ self._strides
 
     def __len__(self) -> int:
         return self.counts.shape[0]
-
-    def area_total(self, j: int) -> np.ndarray:
-        return self.counts[:, 3 * j : 3 * j + 3].sum(axis=1, dtype=np.int64)
 
     def state_at(self, i: int) -> SystemState:
         return SystemState(tuple(int(c) for c in self.counts[i]))
@@ -227,62 +160,54 @@ class StateSpace:
 
 
 def enumerate_states(
-    cfg: CellConfig, trunc: Truncation, max_states: int = DEFAULT_STATE_BUDGET
+    cfg: CellConfig,
+    trunc: Truncation,
+    max_states: int = DEFAULT_STATE_BUDGET,
+    *,
+    traffic: TrafficMix | None = None,
 ) -> StateSpace:
-    """All states with non-negative counts satisfying the truncation caps.
+    """All states whose counts sum to at most ``trunc.max_total``.
 
-    Raises :class:`StateSpaceTooLargeError` (with a suggested smaller cap)
-    when the count exceeds ``max_states``.
+    With ``traffic`` given, a class with zero arrival rate has no axis: its
+    components stay 0, which leaves the stationary law unchanged. Raises
+    :class:`StateSpaceTooLargeError` (with the largest cap that fits) when the
+    count exceeds ``max_states``, and :class:`ConfigError` when the lattice
+    keys would reach 2**62 and not fit an int64.
     """
-    n_areas = cfg.n_areas
-    dims = 3 * n_areas
-    if trunc.area_caps is None:
-        expected = count_states(n_areas, trunc)
-        if expected > max_states:
-            raise StateSpaceTooLargeError(
-                f"{expected} states exceed the budget of {max_states}; "
-                f"largest cap that fits is max_total="
-                f"{_suggest_max_total(n_areas, trunc, max_states)}",
-                suggested_max_total=_suggest_max_total(n_areas, trunc, max_states),
-            )
-    _component_radix(n_areas, trunc)  # the lattice key must fit before any row is built
-    area_caps = trunc.effective_area_caps(n_areas)
+    n_total = trunc.max_total
+    sc = traffic is None or traffic.alpha > 0
+    dc = traffic is None or traffic.beta > 0
+    free = np.flatnonzero([sc, sc, dc] * cfg.n_areas)
+    expected = _lattice_size(len(free), n_total)
+    if expected > max_states:
+        fits = _suggest_max_total(len(free), n_total, max_states)
+        raise StateSpaceTooLargeError(
+            f"{expected} states exceed the budget of {max_states}; "
+            f"largest cap that fits is max_total={fits}",
+            suggested_max_total=fits,
+        )
+    keys = (n_total + 1) ** len(free)
+    if keys >= _INT64_HEADROOM:
+        raise ConfigError(
+            f"a {cfg.n_areas}-area lattice with max_total={n_total} has {keys} "
+            "candidate keys, at or above the 2**62 limit of the state index; "
+            "lower max_total"
+        )
 
-    # grow the state array one component at a time; rows stay in
-    # lexicographic order because appended values are ascending per row
+    # grow the free axes one at a time; rows stay in lexicographic order
+    # because appended values are ascending per row
     prefix = np.zeros((1, 0), dtype=np.int32)
-    rem_total = np.array([trunc.max_total], dtype=np.int64)
-    rem_sc = np.array([trunc.sc_cap], dtype=np.int64)
-    rem_dc = np.array([trunc.dc_cap], dtype=np.int64)
-    rem_area = None
-    for i in range(dims):
-        j, slot = divmod(i, 3)
-        if slot == 0:
-            rem_area = np.full(len(prefix), area_caps[j], dtype=np.int64)
-        cls_rem = rem_dc if slot == 2 else rem_sc
-        hi = np.minimum(np.minimum(rem_total, rem_area), cls_rem)
-        counts_per_row = hi + 1
-        m_new = int(counts_per_row.sum())
-        if m_new > max_states:
-            raise StateSpaceTooLargeError(
-                f"enumeration exceeded the budget of {max_states} states",
-                suggested_max_total=_suggest_max_total(n_areas, trunc, max_states)
-                if trunc.area_caps is None
-                else None,
-            )
-        rep = np.repeat(np.arange(len(prefix)), counts_per_row)
-        starts = np.concatenate(([0], np.cumsum(counts_per_row[:-1])))
-        values = np.arange(m_new, dtype=np.int64) - np.repeat(starts, counts_per_row)
+    rem = np.array([n_total], dtype=np.int64)
+    for _ in free:
+        per_row = rem + 1
+        rep = np.repeat(np.arange(len(prefix)), per_row)
+        starts = np.concatenate(([0], np.cumsum(per_row[:-1])))
+        values = np.arange(int(per_row.sum()), dtype=np.int64) - np.repeat(starts, per_row)
         prefix = np.concatenate([prefix[rep], values[:, None].astype(np.int32)], axis=1)
-        rem_total = rem_total[rep] - values
-        rem_area = rem_area[rep] - values
-        if slot == 2:
-            rem_dc = rem_dc[rep] - values
-            rem_sc = rem_sc[rep]
-        else:
-            rem_sc = rem_sc[rep] - values
-            rem_dc = rem_dc[rep]
-    return StateSpace(prefix, trunc)
+        rem = rem[rep] - values
+    counts = np.zeros((len(prefix), 3 * cfg.n_areas), dtype=np.int32)
+    counts[:, free] = prefix
+    return StateSpace(counts, trunc)
 
 
 # ---------------------------------------------------------------------------
@@ -305,20 +230,6 @@ class Generator:
     traffic: TrafficMix
 
 
-def _arrival_allowed(space: StateSpace, trunc: Truncation, is_sc: bool, j: int) -> np.ndarray:
-    ok = space.total < trunc.max_total
-    caps = trunc.effective_area_caps(space.n_areas)
-    if caps[j] < trunc.max_total:
-        ok = ok & (space.area_total(j) < caps[j])
-    if is_sc:
-        if trunc.sc_cap < trunc.max_total:
-            ok = ok & (space.sc_total < trunc.sc_cap)
-    else:
-        if trunc.dc_cap < trunc.max_total:
-            ok = ok & (space.m < trunc.dc_cap)
-    return ok
-
-
 def build_generator(
     cfg: CellConfig,
     traffic: TrafficMix,
@@ -332,7 +243,8 @@ def build_generator(
     policy (split half/half on an exact tie); DC arrivals always increment the
     DC count; SC departures occur at count * per-user-rate / sigma per
     carrier; a DC departure occurs at count * (d1 + d2) / sigma. Arrivals
-    that would leave the lattice are dropped.
+    from a state at the population cap are dropped. A :class:`Truncation`
+    is enumerated as the full lattice, every class with its own axes.
     """
     policy = Policy(policy)
     space = (
@@ -343,6 +255,7 @@ def build_generator(
     trunc = space.truncation
     n = len(space)
     sigma = traffic.sigma
+    below_cap = space.total < trunc.max_total
     all_rows: list[np.ndarray] = []
     all_cols: list[np.ndarray] = []
     all_data: list[np.ndarray] = []
@@ -362,7 +275,6 @@ def build_generator(
         alpha_j, beta_j = traffic.area_rates(cfg, j)
 
         if alpha_j > 0:
-            ok_sc = _arrival_allowed(space, trunc, True, j)
             area = cfg.areas[j]
             totals = (space.n1, space.n2, space.m)
             if max(area.ratio_pair) * (trunc.max_total + 2) >= _INT64_HEADROOM:
@@ -371,14 +283,14 @@ def build_generator(
             share = np.broadcast_to(sc_carrier1_share(policy, area, *totals), (n,))
             rate1 = alpha_j * share
             rate2 = alpha_j * (1.0 - share)
-            sel1 = ok_sc & (rate1 > 0)
+            sel1 = below_cap & (rate1 > 0)
             add(idx[sel1], targets(sel1, i1, +1), rate1[sel1])
-            sel2 = ok_sc & (rate2 > 0)
+            sel2 = below_cap & (rate2 > 0)
             add(idx[sel2], targets(sel2, i2, +1), rate2[sel2])
 
         if beta_j > 0:
-            sel = _arrival_allowed(space, trunc, False, j)
-            add(idx[sel], targets(sel, i3, +1), np.full(int(sel.sum()), beta_j))
+            add(idx[below_cap], targets(below_cap, i3, +1),
+                np.full(int(below_cap.sum()), beta_j))
 
         c1, c2 = cfg.areas[j].c1, cfg.areas[j].c2
         sel = space.counts[:, i1] > 0
@@ -520,34 +432,24 @@ def solve_stationary(gen: Generator, tol: float = SOLVE_TOL) -> StationaryDistri
     return dist
 
 
-def blocking_mass(
-    dist: StationaryDistribution, trunc: Truncation | None = None
-) -> dict[str, float]:
+def blocking_mass(dist: StationaryDistribution) -> dict[str, float]:
     """Per-class probability that an arrival is dropped at the truncation.
 
-    For each class, sums over states the stationary probability times the
-    fraction of that class's arrival rate whose target lies outside the
-    lattice. A class with zero arrival rate has mass 0.
+    Every arrival from a state at the population cap is dropped, whatever
+    its class and area, so each class sums the stationary probability of
+    those states times the share of its arrival rate that the areas carry
+    (1 up to rounding). A class with zero arrival rate has mass 0.
     """
-    space = dist.space
-    trunc = trunc or space.truncation
-    cfg, traffic = dist.cfg, dist.traffic
+    space, cfg = dist.space, dist.cfg
+    at_cap = space.total >= space.truncation.max_total
     out = {}
-    for cls, is_sc, rate_total in (
-        ("sc", True, traffic.alpha),
-        ("dc", False, traffic.beta),
-    ):
+    for cls, rate_total in (("sc", dist.traffic.alpha), ("dc", dist.traffic.beta)):
         if rate_total <= 0:
             out[cls] = 0.0
             continue
-        frac = np.zeros(len(space))
-        for j in range(space.n_areas):
-            rate_j = cfg.areas[j].q * rate_total
-            if rate_j <= 0:
-                continue
-            blocked = ~_arrival_allowed(space, trunc, is_sc, j)
-            frac[blocked] += rate_j
-        out[cls] = float(dist.pi @ (frac / rate_total))
+        # area rates summed in area order, as fractions of the class rate
+        share = sum(area.q * rate_total for area in cfg.areas) / rate_total
+        out[cls] = float(dist.pi @ np.where(at_cap, share, 0.0))
     return out
 
 
@@ -602,20 +504,30 @@ class ThroughputReport:
         return self.per_area[j].gamma_bar
 
 
+def _diagnostics(dist: StationaryDistribution, grew: int = 0) -> SolveDiagnostics:
+    blocking = dist.blocking
+    return SolveDiagnostics(
+        states=len(dist.space),
+        max_total=dist.space.truncation.max_total,
+        blocking_sc=blocking.get("sc", 0.0),
+        blocking_dc=blocking.get("dc", 0.0),
+        residual=dist.residual,
+        iterations=dist.iterations,
+        method=dist.method,
+        reliable=max(blocking.values(), default=0.0) <= RELIABLE_BLOCKING,
+        grew=grew,
+    )
+
+
 def throughputs_from_distribution(
-    dist: StationaryDistribution,
-    cfg: CellConfig | None = None,
-    traffic: TrafficMix | None = None,
-    diagnostics: SolveDiagnostics | None = None,
+    dist: StationaryDistribution, diagnostics: SolveDiagnostics | None = None
 ) -> ThroughputReport:
     """Mean flow throughput per class and area from stationary occupancies.
 
     gamma_SC,j = alpha_j sigma / E[n1j + n2j]; gamma_DC,j = beta_j sigma /
     E[m_j]; the class-weighted mean uses the SC fraction phi.
     """
-    cfg = cfg or dist.cfg
-    traffic = traffic or dist.traffic
-    space = dist.space
+    cfg, traffic, space = dist.cfg, dist.traffic, dist.space
     phi = traffic.phi
     areas = []
     for j in range(space.n_areas):
@@ -643,18 +555,9 @@ def throughputs_from_distribution(
                 mean_sc=mean_sc, mean_dc=mean_dc,
             )
         )
-    if diagnostics is None:
-        diagnostics = SolveDiagnostics(
-            states=len(space),
-            max_total=space.truncation.max_total,
-            blocking_sc=dist.blocking.get("sc", 0.0),
-            blocking_dc=dist.blocking.get("dc", 0.0),
-            residual=dist.residual,
-            iterations=dist.iterations,
-            method=dist.method,
-            reliable=max(dist.blocking.values(), default=0.0) <= RELIABLE_BLOCKING,
-        )
-    return ThroughputReport(per_area=tuple(areas), phi=phi, diagnostics=diagnostics)
+    return ThroughputReport(
+        per_area=tuple(areas), phi=phi, diagnostics=diagnostics or _diagnostics(dist)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -687,33 +590,25 @@ def solve_model(
     target_blocking: float = DEFAULT_TARGET_BLOCKING,
     tol: float = SOLVE_TOL,
     max_states: int = DEFAULT_STATE_BUDGET,
-    max_grow: int = 8,
 ) -> tuple[ThroughputReport, StationaryDistribution]:
     """Solve the model end to end, growing the truncation until it is tight.
 
     Starts from ``trunc`` (or a load-based heuristic, capped at the largest
     ``max_total`` that fits ``max_states``), doubles ``max_total`` while any
-    blocking mass exceeds ``target_blocking``, and stops early when a doubled
-    space would exceed ``max_states`` (the result is then flagged unreliable
-    in the diagnostics if blocking is above the reliability gate). An
-    explicit ``trunc`` whose first space exceeds ``max_states`` raises
-    :class:`StateSpaceTooLargeError`.
-    Classes with zero arrival rate are pruned from the lattice, which leaves
-    the stationary law unchanged.
+    blocking mass exceeds ``target_blocking`` (at most ``_MAX_GROW`` times),
+    and stops early when a doubled space would exceed ``max_states`` (the
+    result is then flagged unreliable in the diagnostics if blocking is above
+    the reliability gate). An explicit ``trunc`` whose first space exceeds
+    ``max_states`` raises :class:`StateSpaceTooLargeError`.
+    Classes with zero arrival rate get no lattice axis, which leaves the
+    stationary law unchanged.
     """
-    max_sc = 0 if traffic.alpha == 0 else (trunc.max_sc if trunc else None)
-    max_dc = 0 if traffic.beta == 0 else (trunc.max_dc if trunc else None)
-    area_caps = trunc.area_caps if trunc else None
     n_total = trunc.max_total if trunc else initial_max_total(cfg, traffic, target_blocking)
-
     grew = 0
     result = None
     while True:
-        attempt = Truncation(
-            max_total=n_total, area_caps=area_caps, max_sc=max_sc, max_dc=max_dc
-        )
         try:
-            space = enumerate_states(cfg, attempt, max_states)
+            space = enumerate_states(cfg, Truncation(n_total), max_states, traffic=traffic)
         except StateSpaceTooLargeError as exc:
             if result is not None:
                 break
@@ -723,52 +618,9 @@ def solve_model(
             n_total = fits
             continue
         gen = build_generator(cfg, traffic, space, policy)
-        dist = solve_stationary(gen, tol=tol)
-        result = dist
-        if max(dist.blocking.values(), default=0.0) <= target_blocking or grew >= max_grow:
+        result = solve_stationary(gen, tol=tol)
+        if max(result.blocking.values()) <= target_blocking or grew >= _MAX_GROW:
             break
         n_total *= 2
         grew += 1
-
-    blocking = result.blocking
-    diagnostics = SolveDiagnostics(
-        states=len(result.space),
-        max_total=result.space.truncation.max_total,
-        blocking_sc=blocking.get("sc", 0.0),
-        blocking_dc=blocking.get("dc", 0.0),
-        residual=result.residual,
-        iterations=result.iterations,
-        method=result.method,
-        reliable=max(blocking.values(), default=0.0) <= RELIABLE_BLOCKING,
-        grew=grew,
-    )
-    report = throughputs_from_distribution(result, cfg, traffic, diagnostics)
-    return report, result
-
-
-# ---------------------------------------------------------------------------
-# debugging dumps (schema documented in the cli module)
-
-
-def dump_distribution_csv(dist: StationaryDistribution, path) -> None:
-    space = dist.space
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        comps = [f"{name}_{j + 1}" for j in range(space.n_areas) for name in ("n1", "n2", "m")]
-        fh.write(",".join(comps + ["probability"]) + "\n")
-        for row, p in zip(space.counts, dist.pi):
-            fh.write(",".join(str(int(c)) for c in row) + f",{float(p)!r}\n")
-
-
-def dump_generator_csv(gen: Generator, path) -> None:
-    space = gen.space
-    coo = gen.Q.tocoo()
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        comps = [f"{name}_{j + 1}" for j in range(space.n_areas) for name in ("n1", "n2", "m")]
-        header = [f"from_{c}" for c in comps] + [f"to_{c}" for c in comps] + ["rate"]
-        fh.write(",".join(header) + "\n")
-        order = np.lexsort((coo.col, coo.row))
-        for k in order:
-            src = space.counts[coo.row[k]]
-            dst = space.counts[coo.col[k]]
-            cells = [str(int(c)) for c in src] + [str(int(c)) for c in dst]
-            fh.write(",".join(cells) + f",{float(coo.data[k])!r}\n")
+    return throughputs_from_distribution(result, _diagnostics(result, grew)), result

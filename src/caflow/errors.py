@@ -57,7 +57,3 @@ class ConvergenceError(CaflowError, RuntimeError):
 
 class DegenerateSolveError(CaflowError, RuntimeError):
     """Stationary distribution is inconsistent with the offered traffic."""
-
-
-class NoDataError(CaflowError, ValueError):
-    """An estimate was requested from an empty or too-small sample."""

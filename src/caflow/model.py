@@ -543,18 +543,13 @@ def sc_jfq_throughput_approx(cfg: CellConfig, rho: float, j: int) -> float:
 
 @dataclass(frozen=True)
 class ThetaApprox:
-    """Closed-form sustainable-intensity estimate and its label-order variant.
+    """Closed-form sustainable-intensity estimate, clamped at 0.
 
-    ``theta`` uses the smaller capacity in the SC-unreachable term (the
-    convention adopted by this package); ``theta_positional`` keeps the
-    carrier-1-first reading. Each value is clamped at 0, with the
-    corresponding flag set when clamping occurred.
+    ``clamped`` is set when the closed form went negative.
     """
 
     theta: float
-    theta_positional: float
     clamped: bool
-    positional_clamped: bool
 
 
 def theta_approximation(cfg: CellConfig, phi: float, target_gamma_edge: float) -> ThetaApprox:
@@ -579,16 +574,7 @@ def theta_approximation(cfg: CellConfig, phi: float, target_gamma_edge: float) -
             f"target {target_gamma_edge!r} Mbit/s exceeds the zero-load edge limit {cap!r}"
         )
     theta = c_bar * (1.0 - target_gamma_edge / cap)
-    clamped = theta < 0.0
-    cap_pos = (1.0 - phi) * edge.c1 + edge.c2
-    theta_pos = c_bar * (1.0 - target_gamma_edge / cap_pos)
-    positional_clamped = theta_pos < 0.0
-    return ThetaApprox(
-        theta=max(theta, 0.0),
-        theta_positional=max(theta_pos, 0.0),
-        clamped=clamped,
-        positional_clamped=positional_clamped,
-    )
+    return ThetaApprox(theta=max(theta, 0.0), clamped=theta < 0.0)
 
 
 # ---------------------------------------------------------------------------

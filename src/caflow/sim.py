@@ -20,12 +20,11 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 from scipy.special import stdtrit
 
-from .errors import ConfigError, NoDataError
+from .errors import ConfigError
 from .model import CellConfig, Policy, TrafficMix, sc_carrier1_share
 
 #: groups with fewer post-warmup completions than this are not estimated
@@ -36,6 +35,9 @@ TREND_SAMPLES = 100
 
 #: t-statistic above which a positive population slope flags instability
 TREND_T_CRIT = 3.0
+
+#: confidence level of the batch-means half-widths
+CI_LEVEL = 0.95
 
 _TRAJ_CAP = 1 << 18
 _BLOCK = 8192
@@ -69,24 +71,11 @@ class Warmup:
 
 
 @dataclass(frozen=True)
-class FlowRecord:
-    kind: str  # "sc" | "dc"
-    area: int
-    volume: float
-    arrived: float
-    completed: float
-
-    @property
-    def sojourn(self) -> float:
-        return self.completed - self.arrived
-
-
-@dataclass(frozen=True)
 class ClassEstimate:
     """Throughput estimate for one (class, area) group.
 
     ``gamma_hat`` is sum(volume)/sum(sojourn) over post-warmup completions;
-    ``half_width`` comes from batch means at the report's confidence level.
+    ``half_width`` comes from batch means at confidence level ``CI_LEVEL``.
     Groups below the completion minimum are marked insufficient instead.
     """
 
@@ -116,7 +105,6 @@ class SimReport:
     policy: Policy
     seed: int
     stream: int
-    ci_level: float
     sim_time: float
     events: int
     total_completions: int
@@ -124,7 +112,6 @@ class SimReport:
     occupancy: dict[tuple[str, int], float]  # time-average of n1/n2/m per area
     trend: TrendStats
     trace: tuple[TraceEvent, ...] = ()
-    records: tuple[FlowRecord, ...] | None = None
 
     def estimate(self, kind: str, area: int) -> ClassEstimate:
         return self.estimates[(kind, area)]
@@ -155,10 +142,8 @@ def simulate(
     stream: int = 0,
     *,
     n_batches: int = 20,
-    ci_level: float = 0.95,
     min_group: int = MIN_GROUP_COMPLETIONS,
     collect_trace: int = 0,
-    return_records: bool = False,
 ) -> SimReport:
     """Sample one trajectory of the occupancy Markov process.
 
@@ -364,7 +349,7 @@ def simulate(
             v = vols[sel]
             s = dones[sel] - arrs[sel]
             gamma = float(v.sum() / s.sum())
-            half = _ratio_batch_half_width(v, s, n_batches, ci_level)
+            half = _ratio_batch_half_width(v, s, n_batches)
             estimates[(kind, j)] = ClassEstimate(
                 gamma_hat=gamma, half_width=half, completions=count
             )
@@ -374,24 +359,10 @@ def simulate(
         for k, name in enumerate(("n1", "n2", "m")):
             occupancy[(name, j)] = occ[j][k] / end_time if end_time > 0 else 0.0
 
-    records = None
-    if return_records:
-        records = tuple(
-            FlowRecord(
-                kind="sc" if kc == 0 else "dc",
-                area=int(aj),
-                volume=float(v),
-                arrived=float(a),
-                completed=float(d),
-            )
-            for kc, aj, v, a, d in zip(kinds, areas_arr, vols, arrs, dones)
-        )
-
     return SimReport(
         policy=routing,
         seed=seed,
         stream=stream,
-        ci_level=ci_level,
         sim_time=end_time,
         events=events,
         total_completions=completions,
@@ -399,58 +370,16 @@ def simulate(
         occupancy=occupancy,
         trend=trend,
         trace=tuple(trace),
-        records=records,
     )
 
 
-# ---------------------------------------------------------------------------
-# estimators
-
-
-def flow_throughput_estimate(records: Iterable[FlowRecord]) -> dict[tuple[str, int], float]:
-    """Per (class, area) throughput as the ratio of mean volume to mean sojourn.
-
-    The ratio of sums, not the mean of per-flow ratios: {(1 Mbit, 1 s),
-    (1 Mbit, 3 s)} estimates 0.5 Mbit/s.
-    """
-    groups: dict[tuple[str, int], tuple[float, float]] = {}
-    for rec in records:
-        vol, soj = groups.get((rec.kind, rec.area), (0.0, 0.0))
-        groups[(rec.kind, rec.area)] = (vol + rec.volume, soj + rec.sojourn)
-    if not groups:
-        raise NoDataError("no completed flows to estimate from")
-    return {key: vol / soj for key, (vol, soj) in sorted(groups.items())}
-
-
-def batch_means_ci(
-    samples: Iterable[float], n_batches: int, level: float = 0.95
-) -> tuple[float, float]:
-    """Mean and confidence half-width from non-overlapping equal batches.
-
-    Samples are split in order into ``n_batches`` equal batches (discarding
-    the remainder); the half-width is the Student-t quantile times the
-    standard error of the batch means.
-    """
-    data = np.asarray(list(samples), dtype=np.float64)
-    if n_batches < 2:
-        raise NoDataError("batch means need at least 2 batches")
-    if len(data) < 2 * n_batches:
-        raise NoDataError(f"need at least {2 * n_batches} samples, got {len(data)}")
-    size = len(data) // n_batches
-    used = data[: size * n_batches]
-    means = used.reshape(n_batches, size).mean(axis=1)
-    spread = float(means.std(ddof=1))
-    quantile = float(stdtrit(n_batches - 1, 0.5 + level / 2.0))
-    return float(used.mean()), quantile * spread / math.sqrt(n_batches)
-
-
-def _ratio_batch_half_width(
-    volumes: np.ndarray, sojourns: np.ndarray, n_batches: int, level: float
-) -> float:
+def _ratio_batch_half_width(volumes: np.ndarray, sojourns: np.ndarray, n_batches: int) -> float:
+    # the ratio estimator over each of n_batches equal batches (in completion
+    # order, remainder discarded); Student-t half-width of their mean
     size = len(volumes) // n_batches
     used_v = volumes[: size * n_batches].reshape(n_batches, size)
     used_s = sojourns[: size * n_batches].reshape(n_batches, size)
     ratios = used_v.sum(axis=1) / used_s.sum(axis=1)
     spread = float(ratios.std(ddof=1))
-    quantile = float(stdtrit(n_batches - 1, 0.5 + level / 2.0))
+    quantile = float(stdtrit(n_batches - 1, 0.5 + CI_LEVEL / 2.0))
     return quantile * spread / math.sqrt(n_batches)

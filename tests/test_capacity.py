@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from caflow.capacity import (
     CapacityQuery,
@@ -9,7 +11,7 @@ from caflow.capacity import (
     zero_load_edge_throughput,
 )
 from caflow.errors import ConfigError, InfeasibleTargetError
-from caflow.model import CellConfig
+from caflow.model import CellConfig, theta_approximation
 
 
 def test_presets_match_documented_capacities():
@@ -88,10 +90,66 @@ def test_approx_and_ctmc_agree_for_dc_only_single_area():
         assert res_c.theta_star == pytest.approx(res_a.theta_star, rel=0.02)
 
 
+def test_approx_is_the_closed_form_in_one_probe():
+    cfg, target = scenario_presets("lte")
+    result = max_sustainable_intensity(
+        CapacityQuery(cfg=cfg, phi=0.5, target_gamma=target, evaluator="approx")
+    )
+    assert result.theta_star == theta_approximation(cfg, 0.5, target).theta
+    assert result.achieved_gamma == target
+    assert result.brackets == ((result.theta_star, result.theta_star),)
+    assert len(result.probes) == 1
+
+
+def _theta_star(cfg, phi, target, evaluator):
+    query = CapacityQuery(cfg=cfg, phi=phi, target_gamma=target, evaluator=evaluator)
+    return max_sustainable_intensity(query).theta_star
+
+
+@settings(max_examples=200)
+@given(
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=0.01, max_value=1.0),
+    st.floats(min_value=0.01, max_value=1.0),
+)
+def test_approx_theta_non_increasing_in_target_and_phi(phi_a, phi_b, u_a, u_b):
+    # targets are fractions of the zero-load edge throughput at the larger
+    # phi, so they are feasible at both
+    cfg, _ = scenario_presets("lte")
+    lo_p, hi_p = sorted((phi_a, phi_b))
+    ceiling = zero_load_edge_throughput(cfg, hi_p, cfg.edge)
+    lo_t, hi_t = sorted((u_a * ceiling, u_b * ceiling))
+    for phi in (lo_p, hi_p):
+        assert _theta_star(cfg, phi, hi_t, "approx") <= _theta_star(cfg, phi, lo_t, "approx")
+    for target in (lo_t, hi_t):
+        assert _theta_star(cfg, hi_p, target, "approx") <= _theta_star(cfg, lo_p, target, "approx")
+
+
+@settings(max_examples=4, deadline=None)
+@given(
+    st.floats(min_value=0.1, max_value=0.9),
+    st.floats(min_value=0.1, max_value=0.9),
+)
+def test_ctmc_theta_non_increasing_in_target_and_phi(u_a, u_b):
+    # the bisection brackets the exact answer to a width of rel_tol * theta,
+    # so monotonicity holds up to that width; targets are fractions of the
+    # SC-only zero-load edge throughput c_max = 2, feasible at phi 0 and 1
+    cfg = CellConfig.single_area(1, 2)
+    lo_t, hi_t = sorted((2.0 * u_a, 2.0 * u_b))
+    theta = {(phi, t): _theta_star(cfg, phi, t, "ctmc") for phi in (0.0, 1.0)
+             for t in (lo_t, hi_t)}
+    width = 0.01 * max(theta.values())
+    for phi in (0.0, 1.0):
+        assert theta[(phi, hi_t)] <= theta[(phi, lo_t)] + width
+    for target in (lo_t, hi_t):
+        assert theta[(1.0, target)] <= theta[(0.0, target)] + width
+
+
 def test_sim_evaluator_inverts_dc_only_target():
     cfg = CellConfig.single_area(1, 1)
     query = CapacityQuery(cfg=cfg, phi=0.0, target_gamma=1.0, evaluator="sim",
-                          rel_tol=0.02, seed=5, sim_completions=20_000)
+                          rel_tol=0.02, seed=5)
     result = max_sustainable_intensity(query)
     assert result.theta_star == pytest.approx(1.0, rel=0.05)
 

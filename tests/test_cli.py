@@ -2,6 +2,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import caflow.cli as cli
 from caflow.cli import (
@@ -120,6 +122,20 @@ def test_config_round_trip_is_exact():
     assert again.cfg.areas[1].c1_exact == Fraction(1, 3)
 
 
+_CAPACITY = st.fractions(min_value=Fraction(1, 1000), max_value=1000, max_denominator=10**6)
+
+
+@settings(max_examples=100)
+@given(st.lists(st.tuples(_CAPACITY, _CAPACITY), min_size=1, max_size=3))
+def test_config_round_trip_on_random_exact_capacities(capacities):
+    # includes non-terminating decimals such as 1/3, which print as p/q
+    areas = tuple(cli.AreaSpec(c1, c2, 1.0 / len(capacities)) for c1, c2 in capacities)
+    spec = RunSpec(cfg=CellConfig(areas=areas), traffic=TrafficMix(1.0, 0.5, 1.0))
+    again = parse_config_text(emit_config(spec))
+    assert again == spec
+    assert [(a.c1_exact, a.c2_exact) for a in again.cfg.areas] == capacities
+
+
 def test_format_exact_rendering():
     assert cli._format_exact(Fraction(14)) == "14"
     assert cli._format_exact(Fraction(7, 5)) == "1.4"
@@ -228,6 +244,28 @@ def test_main_capacity_needs_target_or_scenario(tmp_path, capsys):
     rc = main(["capacity", "--config", str(cfg), "--phi", "0.5", "--out", str(tmp_path)])
     assert rc == 1
     assert "target" in capsys.readouterr().err
+
+
+def test_main_capacity_infeasible_target_is_a_config_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, MINIMAL)
+    rc = main(["capacity", "--config", str(cfg), "--phi", "0.5", "--target", "100",
+               "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "exceeds the zero-load edge throughput" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "capacity.csv").exists()
+
+
+def test_main_capacity_header_names_the_policy_used(tmp_path):
+    cfg = write_cfg(tmp_path, MINIMAL.replace("areas.1.c2 = 1", "areas.1.c2 = 2")
+                    + "policy = jsq\n")
+    rc = main(["capacity", "--config", str(cfg), "--phi", "1", "--target", "1",
+               "--evaluator", "ctmc", "--out", str(tmp_path)])
+    assert rc == 0
+    lines = (tmp_path / "capacity.csv").read_text().splitlines()
+    assert "# policy=jsq" in lines
+    assert "# policy=jfq" not in lines
 
 
 # --- reproduce ----------------------------------------------------------------------

@@ -16,7 +16,6 @@ from caflow.ctmc import (
     blocking_mass,
     build_generator,
     count_states,
-    default_truncation,
     enumerate_states,
     solve_model,
     solve_stationary,
@@ -75,10 +74,11 @@ def test_enumerate_is_lexicographic_and_bijective():
 
 
 def test_two_area_space_with_a_pruned_class_round_trips():
-    # max_total + 1 to the power 3J passes 2**62 here; the pruned SC
-    # components have radix 1, so the lattice key still fits an int64
+    # max_total + 1 to the power 3J passes 2**62 here; DC-only traffic leaves
+    # the SC components without an axis (radix 1), so the key still fits
     space = enumerate_states(
-        two_area((1, 1), (1, 1)), Truncation(max_total=1300, max_sc=0)
+        two_area((1, 1), (1, 1)), Truncation(max_total=1300),
+        traffic=TrafficMix(1.0, 0.0, 1.0),
     )
     assert len(space) == math.comb(1300 + 2, 2)
     for i in (0, 1, 650, len(space) // 2, len(space) - 1):
@@ -105,9 +105,31 @@ def test_enumeration_count_matches_closed_form(n_areas, max_total):
 
 
 def test_enumerate_class_caps_prune_states():
-    space = enumerate_states(single(1, 1), Truncation(max_total=5, max_sc=0))
-    assert len(space) == 6  # only the DC axis remains
-    assert space.counts[:, 0].max() == 0 and space.counts[:, 1].max() == 0
+    # a class without arrivals has no axis; the other class keeps its own
+    dc_only = enumerate_states(single(1, 1), Truncation(max_total=5),
+                               traffic=TrafficMix(1.0, 0.0, 1.0))
+    assert len(dc_only) == 6  # only the DC axis remains
+    assert dc_only.counts[:, 0].max() == 0 and dc_only.counts[:, 1].max() == 0
+    sc_only = enumerate_states(single(1, 1), Truncation(max_total=5),
+                               traffic=TrafficMix(1.0, 1.0, 1.0))
+    assert len(sc_only) == math.comb(5 + 2, 2)
+    assert sc_only.counts[:, 2].max() == 0
+    mixed = enumerate_states(single(1, 1), Truncation(max_total=5),
+                             traffic=TrafficMix(1.0, 0.5, 1.0))
+    assert len(mixed) == count_states(1, Truncation(max_total=5))
+
+
+def test_pruned_lattice_matches_the_full_lattice():
+    # the states a pruned class would add are transient, so the law on the
+    # remaining axis is the same, and so is the blocking mass
+    cfg, traffic = single(1, 2), TrafficMix(1.5, 0.0, 1.0)
+    trunc = Truncation(max_total=25)
+    full = solve_stationary(build_generator(cfg, traffic, trunc))
+    pruned_space = enumerate_states(cfg, trunc, traffic=traffic)
+    pruned = solve_stationary(build_generator(cfg, traffic, pruned_space))
+    on_axis = [full.space.index_of(state) for state in pruned_space.counts]
+    assert np.abs(full.pi[on_axis] - pruned.pi).max() <= 1e-12
+    assert pruned.blocking["dc"] == pytest.approx(full.blocking["dc"], rel=1e-9)
 
 
 def test_enumerate_too_large_suggests_cap():
@@ -116,11 +138,6 @@ def test_enumerate_too_large_suggests_cap():
     assert err.value.suggested_max_total is not None
     suggested = err.value.suggested_max_total
     assert count_states(1, Truncation(max_total=suggested)) <= 1000
-
-
-def test_default_truncation_scales_with_areas():
-    assert default_truncation(single(1, 1)).max_total == 200
-    assert default_truncation(two_area((1, 1), (1, 1))).max_total == 60
 
 
 # --- routing -----------------------------------------------------------------
@@ -349,7 +366,7 @@ def test_polish_stops_when_the_residual_stalls():
     assert 2 <= len(err.value.residual_trace) <= 3
 
 
-def test_solver_methods_agree():
+def test_solver_matches_dense_reference():
     gen = mixed_gen(c1=1, c2="1.3", rho=0.6, phi=0.3, max_total=12)
     dist = solve_stationary(gen)
     assert np.abs(dist.pi - dense_stationary(gen)).max() <= 1e-10
@@ -408,7 +425,8 @@ def test_blocking_four_state_chain_by_hand():
 def test_blocking_vanishes_far_above_mean_occupancy():
     cfg = single(1, 1)
     traffic = TrafficMix(1.0, 0.0, 1.0)  # rho = 0.5, mean occupancy 1
-    gen = build_generator(cfg, traffic, Truncation(max_total=40, max_sc=0))
+    space = enumerate_states(cfg, Truncation(max_total=40), traffic=traffic)
+    gen = build_generator(cfg, traffic, space)
     dist = solve_stationary(gen)
     # geometric tail: mass ~ (1 - rho) rho^40 ~ 5e-13
     assert dist.blocking["dc"] < 1e-8
@@ -507,32 +525,6 @@ def test_solve_model_caps_heuristic_start_at_the_budget():
     assert report.diagnostics.max_total == 20
 
 
-def test_debug_dumps_round_trip(tmp_path):
-    from caflow.ctmc import dump_distribution_csv, dump_generator_csv
-
-    cfg = single(1, 2)
-    traffic = TrafficMix(1.0, 0.5, 1.0)
-    gen = build_generator(cfg, traffic, Truncation(max_total=2))
-    dist = solve_stationary(gen)
-    dist_path = tmp_path / "pi.csv"
-    dump_distribution_csv(dist, dist_path)
-    lines = dist_path.read_text().splitlines()
-    assert lines[0] == "n1_1,n2_1,m_1,probability"
-    assert len(lines) == len(gen.space) + 1
-    probs = [float(line.rsplit(",", 1)[1]) for line in lines[1:]]
-    assert sum(probs) == pytest.approx(1.0, abs=1e-9)
-
-    gen_path = tmp_path / "q.csv"
-    dump_generator_csv(gen, gen_path)
-    lines = gen_path.read_text().splitlines()
-    assert lines[0].startswith("from_n1_1,") and lines[0].endswith(",rate")
-    assert len(lines) == gen.Q.nnz + 1
-
-
 def test_truncation_validation():
     with pytest.raises(ConfigError):
         Truncation(max_total=0)
-    with pytest.raises(ConfigError):
-        Truncation(max_total=5, max_sc=9)
-    with pytest.raises(ConfigError):
-        Truncation(max_total=5, area_caps=(6,))

@@ -436,14 +436,6 @@ def test_theta_lte_dc_only():
     assert res.theta == pytest.approx(40.0 * (1.0 - 10.0 / 22.0), rel=1e-12)
 
 
-def test_theta_positional_variant_reported():
-    # edge labels are (c1, c2) = (15, 7); at phi = 1 the positional reading
-    # divides by 7 and goes negative for a target of 10, hence the clamp
-    res = theta_approximation(lte_config(), 1.0, 10.0)
-    assert res.theta_positional == 0.0
-    assert res.positional_clamped
-
-
 def test_theta_infeasible_target():
     with pytest.raises(InfeasibleTargetError):
         theta_approximation(lte_config(), 1.0, 16.0)

@@ -10,63 +10,22 @@ from scipy.stats import chisquare, t
 
 from caflow.capacity import scenario_presets
 from caflow.ctmc import Truncation, build_generator, solve_model
-from caflow.errors import ConfigError, NoDataError
+from caflow.errors import ConfigError
 from caflow.model import CellConfig, Policy, TrafficMix, harmonic_capacity
-from caflow.sim import (
-    FlowRecord,
-    Stop,
-    Warmup,
-    batch_means_ci,
-    flow_throughput_estimate,
-    simulate,
-)
+from caflow.sim import Stop, Warmup, _ratio_batch_half_width, simulate
 
 
 def single(c1, c2):
     return CellConfig.single_area(c1, c2)
 
 
-# --- flow throughput estimator ------------------------------------------------
-
-
-def rec(kind, area, volume, sojourn, arrived=0.0):
-    return FlowRecord(kind=kind, area=area, volume=volume, arrived=arrived,
-                      completed=arrived + sojourn)
-
-
-def test_flow_throughput_ratio_of_means():
-    records = [rec("dc", 0, 1.0, 0.5), rec("dc", 0, 3.0, 1.5)]
-    assert flow_throughput_estimate(records)[("dc", 0)] == pytest.approx(2.0)
-
-
-def test_flow_throughput_single_flow():
-    assert flow_throughput_estimate([rec("sc", 0, 2.0, 1.0)])[("sc", 0)] == pytest.approx(2.0)
-
-
-def test_flow_throughput_is_not_mean_of_ratios():
-    records = [rec("sc", 0, 1.0, 1.0), rec("sc", 0, 1.0, 3.0)]
-    assert flow_throughput_estimate(records)[("sc", 0)] == pytest.approx(0.5)
-
-
-def test_flow_throughput_empty_is_error():
-    with pytest.raises(NoDataError):
-        flow_throughput_estimate([])
-
-
 # --- batch means ----------------------------------------------------------------
 
 
 def test_batch_means_constant_series():
-    mean, half = batch_means_ci([2.5] * 100, n_batches=10)
-    assert mean == pytest.approx(2.5)
+    # every batch ratio is 2.5, so the interval has zero width
+    half = _ratio_batch_half_width(np.full(100, 2.5), np.ones(100), n_batches=10)
     assert half == 0.0
-
-
-def test_batch_means_single_batch_is_error():
-    with pytest.raises(NoDataError):
-        batch_means_ci([1.0, 2.0, 3.0, 4.0], n_batches=1)
-    with pytest.raises(NoDataError):
-        batch_means_ci([1.0, 2.0, 3.0], n_batches=2)
 
 
 @pytest.mark.parametrize("level", [0.9, 0.95, 0.99])
@@ -78,12 +37,13 @@ def test_t_quantile_equals_scipy_stats(level, df):
 
 
 def test_batch_means_half_width_matches_theory():
-    # i.i.d. standard normals, 30 batches of 1000: the average half-width over
-    # seeds should sit near 1.96 / sqrt(30000) (up to the t vs normal quantile)
+    # i.i.d. standard normals over unit sojourns, so each batch ratio is a
+    # batch mean; 30 batches of 1000: the average half-width over seeds should
+    # sit near 1.96 / sqrt(30000) (up to the t vs normal quantile)
     rng = np.random.default_rng(2718)
     halves = []
     for _ in range(100):
-        _, half = batch_means_ci(rng.standard_normal(30_000), n_batches=30)
+        half = _ratio_batch_half_width(rng.standard_normal(30_000), np.ones(30_000), 30)
         halves.append(half)
     expected = 1.96 / math.sqrt(30_000)
     assert np.mean(halves) == pytest.approx(expected, rel=0.30)
@@ -149,29 +109,6 @@ def test_dc_only_long_run_interval_covers_closed_form():
     rep = simulate(cfg, traffic, stop=Stop(completions=1_000_000), seed=9, n_batches=10)
     est = rep.estimate("dc", 0)
     assert abs(est.gamma_hat - 1.0) <= est.half_width
-
-
-def test_completed_volumes_are_the_sampled_ones():
-    cfg = single(1, 2)
-    traffic = TrafficMix(1.2, 0.5, 1.0)
-    rep = simulate(
-        cfg, traffic, stop=Stop(completions=3000), warmup=Warmup(0.1, 100), seed=2,
-        return_records=True,
-    )
-    assert len(rep.records) == rep.total_completions
-    assert all(r.volume > 0 and r.sojourn > 0 for r in rep.records)
-    grouped = flow_throughput_estimate(rep.records)
-    assert set(grouped) == {("sc", 0), ("dc", 0)}
-    # the report's ratio estimate is reproducible from the records it kept
-    warmup_time = 0.1 * rep.sim_time
-    for (kind, area), est in rep.estimates.items():
-        kept = [r for r in rep.records if r.kind == kind and r.area == area
-                and r.completed > warmup_time]
-        if est.gamma_hat is None:
-            continue
-        assert len(kept) == est.completions
-        ratio = sum(r.volume for r in kept) / sum(r.sojourn for r in kept)
-        assert est.gamma_hat == pytest.approx(ratio, rel=1e-12)
 
 
 def test_insufficient_group_marked_not_estimated():
