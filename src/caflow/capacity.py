@@ -15,7 +15,7 @@ known to be "about" a tenth of the center).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .ctmc import solve_model
 from .errors import ConfigError, InfeasibleTargetError
@@ -88,6 +88,8 @@ class CapacityQuery:
     ``rel_tol`` bounds the final bracket width relative to theta. Simulator
     probes are sized so their confidence interval either excludes the target
     or is narrower than the theta tolerance mapped into throughput units.
+    The ``approx`` closed form routes SC flows to the fastest carrier, so
+    with SC traffic (``phi > 0``) it accepts only ``Policy.JFQ``.
     """
 
     cfg: CellConfig
@@ -106,6 +108,12 @@ class CapacityQuery:
             raise ConfigError("target throughput must be > 0")
         if self.rel_tol <= 0:
             raise ConfigError("tolerance must be > 0")
+        policy = Policy(self.policy)
+        if self.evaluator == "approx" and self.phi > 0 and policy is not Policy.JFQ:
+            raise ConfigError(
+                "the approx evaluator models fastest-queue (jfq) routing of SC flows, "
+                f"got policy {policy.value} with phi > 0"
+            )
 
 
 @dataclass(frozen=True)
@@ -276,13 +284,4 @@ def solve_preset(
     deviation = None
     if ref is not None and ref > 0:
         deviation = (result.theta_star - ref) / ref
-    return CapacityResult(
-        theta_star=result.theta_star,
-        achieved_gamma=result.achieved_gamma,
-        brackets=result.brackets,
-        probes=result.probes,
-        evaluator=evaluator,
-        reference=ref,
-        deviation=deviation,
-        note=result.note,
-    )
+    return replace(result, reference=ref, deviation=deviation)

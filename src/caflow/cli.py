@@ -30,7 +30,7 @@ import sys
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -82,7 +82,6 @@ FIG3_PHIS = (0.0, 0.5, 1.0)
 FIG5_PHIS = (0.0, 0.1, 0.5, 1.0)
 FIG6_LOADS = (0.2, 0.5, 0.8)
 FIG6_PHIS = tuple(round(0.1 * k, 1) for k in range(11))
-FIGURES = ("fig2", "fig3", "fig4", "fig5", "fig6", "table1")
 
 
 # ---------------------------------------------------------------------------
@@ -120,14 +119,58 @@ class SweepGrid:
 
 
 _AREA_KEY = re.compile(r"^areas\.(\d+)\.(c1|c2|q)$")
-_SCALAR_KEYS = {
-    "geometry.radii",
-    "traffic.lambda",
-    "traffic.phi",
-    "traffic.sigma",
-    "ctmc.max_total",
-    "policy",
-    "seed",
+
+
+# each config-value parser returns the value or raises ValueError with the
+# text of the problem
+def _number(lo=None, hi=None, positive=False):
+    def parse(value):
+        try:
+            number = float(value)
+        except ValueError:
+            raise ValueError(f"not a number: {value!r}") from None
+        if lo is not None and number < lo:
+            raise ValueError(f"must be >= {lo}, got {value}")
+        if hi is not None and number > hi:
+            raise ValueError(f"must be <= {hi}, got {value}")
+        if positive and number <= 0:
+            raise ValueError(f"must be > 0, got {number}")
+        return number
+
+    return parse
+
+
+def _policy(value):
+    try:
+        return Policy(value.lower())
+    except ValueError:
+        raise ValueError(f"must be one of jfq, jsq, bernoulli, got {value!r}") from None
+
+
+def _integer(lo, what):
+    def parse(value):
+        try:
+            number = int(value)
+        except ValueError:
+            number = lo - 1
+        if number < lo:
+            raise ValueError(f"must be a {what} integer, got {value!r}")
+        return number
+
+    return parse
+
+
+_REQUIRED = object()
+_probability = _number(lo=0.0, hi=1.0)
+
+#: scalar keys in the order their problems are reported: (parser, default)
+_SCALARS = {
+    "traffic.lambda": (_number(lo=0.0), _REQUIRED),
+    "traffic.phi": (_probability, _REQUIRED),
+    "traffic.sigma": (_number(positive=True), _REQUIRED),
+    "policy": (_policy, Policy.JFQ),
+    "seed": (_integer(0, "non-negative"), 0),
+    "ctmc.max_total": (_integer(1, "positive"), None),
 }
 
 
@@ -142,7 +185,7 @@ def parse_config_text(text: str, source: str = "<config>") -> RunSpec:
             problems.append((lineno, f"expected 'key = value', got {raw.strip()!r}"))
             continue
         key, value = (part.strip() for part in line.split("=", 1))
-        if not (_AREA_KEY.match(key) or key in _SCALAR_KEYS):
+        if not (_AREA_KEY.match(key) or key in _SCALARS or key == "geometry.radii"):
             problems.append((lineno, f"unknown key {key!r}"))
             continue
         if key in entries:
@@ -150,23 +193,12 @@ def parse_config_text(text: str, source: str = "<config>") -> RunSpec:
             continue
         entries[key] = (lineno, value)
 
-    def take(key):
-        return entries.pop(key, None)
-
-    def parse_float(key, item, lo=None, hi=None):
-        lineno, value = item
+    def parse(key, item, parser):
         try:
-            number = float(value)
-        except ValueError:
-            problems.append((lineno, f"{key}: not a number: {value!r}"))
+            return parser(item[1])
+        except ValueError as exc:
+            problems.append((item[0], f"{key}: {exc}"))
             return None
-        if lo is not None and number < lo:
-            problems.append((lineno, f"{key}: must be >= {lo}, got {value}"))
-            return None
-        if hi is not None and number > hi:
-            problems.append((lineno, f"{key}: must be <= {hi}, got {value}"))
-            return None
-        return number
 
     # areas
     area_items: dict[int, dict[str, tuple[int, str]]] = {}
@@ -175,7 +207,7 @@ def parse_config_text(text: str, source: str = "<config>") -> RunSpec:
         if match:
             idx = int(match.group(1))
             area_items.setdefault(idx, {})[match.group(2)] = entries.pop(key)
-    radii_item = take("geometry.radii")
+    radii_item = entries.pop("geometry.radii", None)
     radii = None
     if radii_item is not None:
         lineno, value = radii_item
@@ -183,7 +215,6 @@ def parse_config_text(text: str, source: str = "<config>") -> RunSpec:
             radii = tuple(float(part) for part in value.split(","))
         except ValueError:
             problems.append((lineno, f"geometry.radii: not a comma-separated number list: {value!r}"))
-            radii = None
 
     areas = []
     if not area_items:
@@ -208,7 +239,7 @@ def parse_config_text(text: str, source: str = "<config>") -> RunSpec:
             if q_item is None and ring_qs is None:
                 problems.append((None, f"area {idx}: needs q (or a full geometry.radii list)"))
                 continue
-            q = parse_float(f"areas.{idx}.q", q_item, 0.0, 1.0) if q_item else ring_qs[idx - 1]
+            q = parse(f"areas.{idx}.q", q_item, _probability) if q_item else ring_qs[idx - 1]
             if q is None:
                 continue
             try:
@@ -216,53 +247,15 @@ def parse_config_text(text: str, source: str = "<config>") -> RunSpec:
             except ConfigError as exc:
                 problems.append((spec["c1"][0], f"area {idx}: {exc}"))
 
-    lam = phi = sigma = None
-    item = take("traffic.lambda")
-    if item is None:
-        problems.append((None, "missing traffic.lambda"))
-    else:
-        lam = parse_float("traffic.lambda", item, lo=0.0)
-    item = take("traffic.phi")
-    if item is None:
-        problems.append((None, "missing traffic.phi"))
-    else:
-        phi = parse_float("traffic.phi", item, lo=0.0, hi=1.0)
-    item = take("traffic.sigma")
-    if item is None:
-        problems.append((None, "missing traffic.sigma"))
-    else:
-        sigma = parse_float("traffic.sigma", item)
-        if sigma is not None and sigma <= 0:
-            problems.append((item[0], f"traffic.sigma: must be > 0, got {sigma}"))
-            sigma = None
-
-    policy = Policy.JFQ
-    item = take("policy")
-    if item is not None:
-        try:
-            policy = Policy(item[1].lower())
-        except ValueError:
-            problems.append((item[0], f"policy: must be one of jfq, jsq, bernoulli, got {item[1]!r}"))
-
-    seed = 0
-    item = take("seed")
-    if item is not None:
-        try:
-            seed = int(item[1])
-            if seed < 0:
-                raise ValueError
-        except ValueError:
-            problems.append((item[0], f"seed: must be a non-negative integer, got {item[1]!r}"))
-
-    max_total = None
-    item = take("ctmc.max_total")
-    if item is not None:
-        try:
-            max_total = int(item[1])
-            if max_total < 1:
-                raise ValueError
-        except ValueError:
-            problems.append((item[0], f"ctmc.max_total: must be a positive integer, got {item[1]!r}"))
+    values = {}
+    for key, (parser, default) in _SCALARS.items():
+        item = entries.pop(key, None)
+        if item is not None:
+            values[key] = parse(key, item, parser)
+        elif default is _REQUIRED:
+            problems.append((None, f"missing {key}"))
+        else:
+            values[key] = default
 
     cfg = None
     if areas and not problems:
@@ -271,7 +264,7 @@ def parse_config_text(text: str, source: str = "<config>") -> RunSpec:
         except ConfigError as exc:
             problems.append((None, str(exc)))
 
-    if problems or cfg is None or None in (lam, phi, sigma):
+    if problems:
         lines = [
             (f"{source}:{lineno}: {msg}" if lineno else f"{source}: {msg}")
             for lineno, msg in problems
@@ -280,10 +273,10 @@ def parse_config_text(text: str, source: str = "<config>") -> RunSpec:
 
     return RunSpec(
         cfg=cfg,
-        traffic=TrafficMix(lam, phi, sigma),
-        policy=policy,
-        max_total=max_total,
-        seed=seed,
+        traffic=TrafficMix(*(values[f"traffic.{key}"] for key in ("lambda", "phi", "sigma"))),
+        policy=values["policy"],
+        max_total=values["ctmc.max_total"],
+        seed=values["seed"],
     )
 
 
@@ -371,6 +364,19 @@ def _config_summary(cfg: CellConfig) -> str:
     return ";".join(parts)
 
 
+def _meta(dataset, config, policy, evaluator, truncation, seed, *extra) -> list[tuple[str, str]]:
+    """The ``# key=value`` header every dataset starts with, then ``extra`` pairs."""
+    return [
+        ("dataset", dataset),
+        ("config", config),
+        ("policy", policy),
+        ("evaluator", evaluator),
+        ("truncation", truncation),
+        ("seed", str(seed)),
+        *extra,
+    ]
+
+
 # ---------------------------------------------------------------------------
 # runners
 
@@ -397,14 +403,10 @@ def run_solve(spec: RunSpec, out_dir: Path, *, tolerance: float = SOLVE_TOL) -> 
     trunc = Truncation(max_total=spec.max_total) if spec.max_total else None
     report, _ = solve_model(spec.cfg, spec.traffic, spec.policy, trunc, tol=tolerance)
     rho = offered_load(spec.cfg, spec.traffic).rho
-    meta = [
-        ("dataset", "solve"),
-        ("config", _config_summary(spec.cfg)),
-        ("policy", spec.policy.value),
-        ("evaluator", "ctmc"),
-        ("truncation", f"max_total={report.diagnostics.max_total}"),
-        ("seed", str(spec.seed)),
-    ]
+    meta = _meta(
+        "solve", _config_summary(spec.cfg), spec.policy.value, "ctmc",
+        f"max_total={report.diagnostics.max_total}", spec.seed,
+    )
     return write_csv(
         out_dir / "solve.csv", meta, _solve_columns(spec.cfg.n_areas),
         [_solve_row(spec.policy, spec.traffic, rho, report)],
@@ -417,8 +419,6 @@ def run_simulate(
     *,
     completions: int | None = None,
     horizon: float | None = None,
-    warmup_fraction: float = 0.2,
-    warmup_completions: int = 10_000,
     trace_limit: int = 0,
 ) -> Path:
     if completions is None and horizon is None:
@@ -428,7 +428,7 @@ def run_simulate(
         spec.traffic,
         spec.policy,
         stop=Stop(horizon=horizon, completions=completions),
-        warmup=Warmup(warmup_fraction, warmup_completions),
+        warmup=Warmup(),
         seed=spec.seed,
         collect_trace=trace_limit,
     )
@@ -447,15 +447,10 @@ def run_simulate(
     cols += ["unstable", "slope", "t_stat", "events", "sim_time"]
     row += [report.trend.unstable, report.trend.slope, report.trend.t_stat,
             report.events, report.sim_time]
-    meta = [
-        ("dataset", "simulate"),
-        ("config", _config_summary(spec.cfg)),
-        ("policy", spec.policy.value),
-        ("evaluator", "sim"),
-        ("truncation", "none"),
-        ("seed", str(spec.seed)),
+    meta = _meta(
+        "simulate", _config_summary(spec.cfg), spec.policy.value, "sim", "none", spec.seed,
         ("ci_level", f"{CI_LEVEL:g}"),
-    ]
+    )
     path = write_csv(out_dir / "simulate.csv", meta, cols, [row])
     if trace_limit > 0:
         comps = [f"{name}_{j + 1}" for j in range(spec.cfg.n_areas) for name in ("n1", "n2", "m")]
@@ -503,16 +498,12 @@ def run_sweep(
             rows = list(pool.map(_sweep_worker, payloads))
     else:
         rows = [_sweep_worker(p) for p in payloads]
-    meta = [
-        ("dataset", "sweep"),
-        ("config", _config_summary(spec.cfg)),
-        ("policy", spec.policy.value),
-        ("evaluator", "ctmc"),
-        ("truncation", f"auto(start={spec.max_total or 'heuristic'})"),
-        ("seed", str(spec.seed)),
+    meta = _meta(
+        "sweep", _config_summary(spec.cfg), spec.policy.value, "ctmc",
+        f"auto(start={spec.max_total or 'heuristic'})", spec.seed,
         ("grid_rhos", ",".join(f"{r:g}" for r in grid.rhos)),
         ("grid_phis", ",".join(f"{p:g}" for p in grid.phis)),
-    ]
+    )
     return write_csv(out_dir / "sweep.csv", meta, _solve_columns(spec.cfg.n_areas), rows)
 
 
@@ -560,15 +551,10 @@ def run_capacity(
         label = "custom"
         cfg = spec.cfg
         policy = spec.policy
-    meta = [
-        ("dataset", "capacity"),
-        ("config", _config_summary(cfg)),
-        ("policy", policy.value),
-        ("evaluator", result.evaluator),
-        ("truncation", "auto"),
-        ("seed", str(seed)),
+    meta = _meta(
+        "capacity", _config_summary(cfg), policy.value, result.evaluator, "auto", seed,
         ("theta_tolerance", f"{tolerance:g}"),
-    ]
+    )
     return write_csv(
         out_dir / "capacity.csv", meta, CAPACITY_COLUMNS,
         [_capacity_row(label, phi, result)],
@@ -609,17 +595,7 @@ def _gamma_point(cfg, phi, rho, policy, seed, stream):
     return gamma_sc, gamma_dc, mixed_mean_throughput(gamma_sc, gamma_dc, phi), "sim"
 
 
-def _meta(dataset, cfg, policy, evaluator, seed, **extra):
-    meta = [
-        ("dataset", dataset),
-        ("config", _config_summary(cfg)),
-        ("policy", policy),
-        ("evaluator", evaluator),
-        ("truncation", f"auto(budget={REPRO_MAX_STATES} states)"),
-        ("seed", str(seed)),
-    ]
-    meta.extend((k, str(v)) for k, v in extra.items())
-    return meta
+_REPRO_TRUNCATION = f"auto(budget={REPRO_MAX_STATES} states)"
 
 
 def _repro_fig2(seed):
@@ -630,26 +606,23 @@ def _repro_fig2(seed):
         report, _ = solve_model(cfg, traffic, Policy.JFQ, max_states=REPRO_MAX_STATES)
         rows.append([rho, report.gamma_sc(0), 1.0 - rho])
     meta = _meta(
-        "fig2", cfg, "jsq", "ctmc", seed,
-        note="shortest-queue curve computed as the equal-capacity fastest-queue "
-             "solve (identical generators); reference is one PS server of rate 1",
+        "fig2", _config_summary(cfg), "jsq", "ctmc", _REPRO_TRUNCATION, seed,
+        ("note", "shortest-queue curve computed as the equal-capacity fastest-queue "
+                 "solve (identical generators); reference is one PS server of rate 1"),
     )
     return meta, ["rho", "gamma_sc_jsq", "gamma_ps_ref"], rows
 
 
-def _repro_fig3(seed):
-    cfg = CellConfig.single_area(1, 1)
+def _repro_mixed(figure, cfg, points, seed, load_column="rho"):
+    """Per-class throughputs at each (load, phi) point, one simulator stream each."""
     rows = []
-    stream = 0
-    for phi in FIG3_PHIS:
-        for rho in FIG_RHO_GRID:
-            gamma_sc, gamma_dc, gamma_bar, used = _gamma_point(
-                cfg, phi, rho, Policy.JFQ, seed, stream
-            )
-            rows.append([rho, phi, gamma_sc, gamma_dc, gamma_bar, used])
-            stream += 1
-    meta = _meta("fig3", cfg, "jfq", "ctmc+sim-fallback", seed)
-    return meta, ["rho", "phi", "gamma_sc", "gamma_dc", "gamma_bar", "evaluator"], rows
+    for stream, (rho, phi) in enumerate(points):
+        gamma_sc, gamma_dc, gamma_bar, used = _gamma_point(cfg, phi, rho, Policy.JFQ, seed, stream)
+        rows.append([rho, phi, gamma_sc, gamma_dc, gamma_bar, used])
+    meta = _meta(
+        figure, _config_summary(cfg), "jfq", "ctmc+sim-fallback", _REPRO_TRUNCATION, seed
+    )
+    return meta, [load_column, "phi", "gamma_sc", "gamma_dc", "gamma_bar", "evaluator"], rows
 
 
 def _repro_fig4(seed):
@@ -661,40 +634,10 @@ def _repro_fig4(seed):
         jsq, _ = solve_model(cfg, traffic, Policy.JSQ, max_states=REPRO_MAX_STATES)
         rows.append([rho, jfq.gamma_sc(0), jsq.gamma_sc(0), 2.0 * (1.0 - rho)])
     meta = _meta(
-        "fig4", cfg, "jfq,jsq", "ctmc", seed,
-        note="reference is one PS server of the larger capacity",
+        "fig4", _config_summary(cfg), "jfq,jsq", "ctmc", _REPRO_TRUNCATION, seed,
+        ("note", "reference is one PS server of the larger capacity"),
     )
     return meta, ["rho", "gamma_sc_jfq", "gamma_sc_jsq", "gamma_ps_c2_ref"], rows
-
-
-def _repro_fig5(seed):
-    cfg = CellConfig.single_area(1, "1.3")
-    rows = []
-    stream = 0
-    for phi in FIG5_PHIS:
-        for rho in FIG_RHO_GRID:
-            gamma_sc, gamma_dc, gamma_bar, used = _gamma_point(
-                cfg, phi, rho, Policy.JFQ, seed, stream
-            )
-            rows.append([rho, phi, gamma_sc, gamma_dc, gamma_bar, used])
-            stream += 1
-    meta = _meta("fig5", cfg, "jfq", "ctmc+sim-fallback", seed)
-    return meta, ["rho", "phi", "gamma_sc", "gamma_dc", "gamma_bar", "evaluator"], rows
-
-
-def _repro_fig6(seed):
-    cfg = CellConfig.single_area(1, 2)
-    rows = []
-    stream = 0
-    for rho in FIG6_LOADS:
-        for phi in FIG6_PHIS:
-            gamma_sc, gamma_dc, gamma_bar, used = _gamma_point(
-                cfg, phi, rho, Policy.JFQ, seed, stream
-            )
-            rows.append([rho, phi, gamma_sc, gamma_dc, gamma_bar, used])
-            stream += 1
-    meta = _meta("fig6", cfg, "jfq", "ctmc+sim-fallback", seed)
-    return meta, ["load", "phi", "gamma_sc", "gamma_dc", "gamma_bar", "evaluator"], rows
 
 
 def _repro_table1(seed):
@@ -707,27 +650,34 @@ def _repro_table1(seed):
         f"{name}: {_config_summary(capacity_mod.scenario_presets(name)[0])}"
         for name in ("db-hsdpa", "dc-hsdpa", "lte")
     )
-    meta = [
-        ("dataset", "table1"),
-        ("config", cfgs),
-        ("policy", "jfq"),
-        ("evaluator", "ctmc for single-class mixes, sim for mixed traffic"),
-        ("truncation", f"auto(budget={DEFAULT_STATE_BUDGET} states)"),
-        ("seed", str(seed)),
+    meta = _meta(
+        "table1", cfgs, "jfq", "ctmc for single-class mixes, sim for mixed traffic",
+        f"auto(budget={DEFAULT_STATE_BUDGET} states)", seed,
         ("note", "edge capacities are exact tenths of the center; reference values "
                  "are reported for comparison, not asserted"),
-    ]
+    )
     return meta, CAPACITY_COLUMNS, rows
 
 
+# the mixed-figure grids are read when a figure is built, not at import
 _REPRO_BUILDERS = {
     "fig2": _repro_fig2,
-    "fig3": _repro_fig3,
+    "fig3": lambda seed: _repro_mixed(
+        "fig3", CellConfig.single_area(1, 1),
+        [(rho, phi) for phi in FIG3_PHIS for rho in FIG_RHO_GRID], seed,
+    ),
     "fig4": _repro_fig4,
-    "fig5": _repro_fig5,
-    "fig6": _repro_fig6,
+    "fig5": lambda seed: _repro_mixed(
+        "fig5", CellConfig.single_area(1, "1.3"),
+        [(rho, phi) for phi in FIG5_PHIS for rho in FIG_RHO_GRID], seed,
+    ),
+    "fig6": lambda seed: _repro_mixed(
+        "fig6", CellConfig.single_area(1, 2),
+        [(load, phi) for load in FIG6_LOADS for phi in FIG6_PHIS], seed, load_column="load",
+    ),
     "table1": _repro_table1,
 }
+FIGURES = tuple(_REPRO_BUILDERS)
 
 
 def run_reproduce(figure: str, out_dir: Path, seed: int = 0) -> Path:
@@ -1000,13 +950,11 @@ def main(argv=None) -> int:
 
         spec = parse_config(args.config)
         if args.seed is not None:
-            spec = RunSpec(cfg=spec.cfg, traffic=spec.traffic, policy=spec.policy,
-                           max_total=spec.max_total, seed=args.seed)
+            spec = replace(spec, seed=args.seed)
         out_dir = Path(args.out)
         if args.command == "solve":
             if args.max_total is not None:
-                spec = RunSpec(cfg=spec.cfg, traffic=spec.traffic, policy=spec.policy,
-                               max_total=args.max_total, seed=spec.seed)
+                spec = replace(spec, max_total=args.max_total)
             path = run_solve(spec, out_dir, tolerance=args.tolerance)
         elif args.command == "simulate":
             path = run_simulate(

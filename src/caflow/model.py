@@ -295,10 +295,6 @@ class SystemState:
             raise ConfigError(f"state counts must be non-negative, got {counts}")
         object.__setattr__(self, "counts", counts)
 
-    @classmethod
-    def empty(cls, n_areas: int) -> "SystemState":
-        return cls((0,) * (3 * n_areas))
-
     @property
     def n_areas(self) -> int:
         return len(self.counts) // 3
@@ -321,30 +317,6 @@ class SystemState:
     @property
     def total(self) -> int:
         return sum(self.counts)
-
-    def n1j(self, j: int) -> int:
-        return self.counts[3 * j]
-
-    def n2j(self, j: int) -> int:
-        return self.counts[3 * j + 1]
-
-    def mj(self, j: int) -> int:
-        return self.counts[3 * j + 2]
-
-    def area(self, j: int) -> tuple[int, int, int]:
-        return self.counts[3 * j : 3 * j + 3]
-
-    def bump(self, slot: int, j: int, delta: int = 1) -> "SystemState":
-        """New state with component (slot, j) changed by delta.
-
-        slot 1 = SC on carrier 1, slot 2 = SC on carrier 2, slot 3 = DC.
-        """
-        if slot not in (1, 2, 3):
-            raise ConfigError(f"slot must be 1, 2 or 3, got {slot}")
-        idx = 3 * j + slot - 1
-        counts = list(self.counts)
-        counts[idx] += delta
-        return SystemState(tuple(counts))
 
 
 # ---------------------------------------------------------------------------

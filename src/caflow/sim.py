@@ -13,6 +13,11 @@ Per-flow sojourns are recovered from the count process: in a symmetric
 departing customer is chosen uniformly among those present in its class and
 area. Each flow carries the volume sampled at its arrival; throughput
 estimates are ratios of summed volume to summed sojourn.
+
+The instability detector fits a least-squares line to the population at
+``TREND_SAMPLES`` evenly spaced times. Each sample is read off the same flow
+times after the run (arrivals so far minus completions so far), so it adds
+no work to the event loop and stays exact however long the run.
 """
 
 from __future__ import annotations
@@ -39,7 +44,6 @@ TREND_T_CRIT = 3.0
 #: confidence level of the batch-means half-widths
 CI_LEVEL = 0.95
 
-_TRAJ_CAP = 1 << 18
 _BLOCK = 8192
 
 
@@ -187,11 +191,6 @@ def simulate(
     done_arr = array("d")
     done_at = array("d")
 
-    traj_t = array("d", [0.0])
-    traj_n = array("d", [0.0])
-    thin = 1
-    since_thin = 0
-
     occ = [[0.0, 0.0, 0.0] for _ in range(n_areas)]
     trace: list[TraceEvent] = []
 
@@ -293,31 +292,25 @@ def simulate(
             done_area.append(j)
             done_at.append(t)
             completions += 1
-        since_thin += 1
-        if since_thin >= thin:
-            since_thin = 0
-            traj_t.append(t)
-            traj_n.append(float(sum(totals)))
-            if len(traj_t) >= _TRAJ_CAP:
-                del traj_t[1:-1:2]
-                del traj_n[1:-1:2]
-                thin *= 2
         if collect_trace and len(trace) < collect_trace:
             label = f"T{slot + 1 if arrival else slot + 4}"
             state = tuple(v for area in counts for v in area)
             trace.append(TraceEvent(time=t, label=label, area=j, state_after=state))
 
     end_time = t
-    traj_t.append(end_time)
-    traj_n.append(float(sum(totals)))
+    arrs = np.frombuffer(done_arr, dtype=np.float64)
+    dones = np.frombuffer(done_at, dtype=np.float64)  # ascending
 
-    # instability: least-squares slope of the population over evenly spaced samples
-    times = np.frombuffer(traj_t, dtype=np.float64)
-    pops = np.frombuffer(traj_n, dtype=np.float64)
+    # instability: least-squares slope of the population at evenly spaced
+    # times, each read off the flow times as arrivals minus completions so far
     if end_time > 0:
         grid = np.linspace(0.0, end_time, TREND_SAMPLES)
-        pos = np.clip(np.searchsorted(times, grid, side="right") - 1, 0, len(times) - 1)
-        trend = _ols_trend(grid, pops[pos])
+        in_service = [at for slot in reg_t for group in slot for at in group]
+        arrived = np.sort(np.append(arrs, in_service))
+        pops = np.searchsorted(arrived, grid, side="right") - np.searchsorted(
+            dones, grid, side="right"
+        )
+        trend = _ols_trend(grid, pops.astype(np.float64))
     else:
         trend = TrendStats(0.0, 0.0, False)
 
@@ -329,8 +322,6 @@ def simulate(
     kinds = np.frombuffer(done_kind, dtype=np.int8)
     areas_arr = np.frombuffer(done_area, dtype=np.int8)
     vols = np.frombuffer(done_vol, dtype=np.float64)
-    arrs = np.frombuffer(done_arr, dtype=np.float64)
-    dones = np.frombuffer(done_at, dtype=np.float64)
     kept = dones > warmup_time
 
     estimates: dict[tuple[str, int], ClassEstimate] = {}

@@ -103,6 +103,28 @@ def test_parse_reports_all_problems():
     assert "missing traffic.lambda" in message
 
 
+@pytest.mark.parametrize(
+    "old, new, expected",
+    [
+        ("traffic.lambda = 1.0", "traffic.lambda = -1", (4, "traffic.lambda: must be >= 0.0, got -1")),
+        ("traffic.phi = 0.5", "traffic.phi = 1.5", (5, "traffic.phi: must be <= 1.0, got 1.5")),
+        ("traffic.sigma = 1", "traffic.sigma = 0", (6, "traffic.sigma: must be > 0, got 0.0")),
+        ("traffic.sigma = 1", "traffic.sigma = x", (6, "traffic.sigma: not a number: 'x'")),
+        ("", "policy = fifo", (7, "policy: must be one of jfq, jsq, bernoulli, got 'fifo'")),
+        ("", "seed = -1", (7, "seed: must be a non-negative integer, got '-1'")),
+        ("", "ctmc.max_total = 0", (7, "ctmc.max_total: must be a positive integer, got '0'")),
+        ("", "ctmc.max_total = x", (7, "ctmc.max_total: must be a positive integer, got 'x'")),
+        ("traffic.lambda = 1.0\n", "", (None, "missing traffic.lambda")),
+    ],
+)
+def test_parse_scalar_key_diagnostics(old, new, expected):
+    # the exact (line, text) entry of each scalar key's problem
+    text = MINIMAL.replace(old, new) if old else MINIMAL + new + "\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(text)
+    assert err.value.diagnostics == [expected]
+
+
 def test_config_round_trip_is_exact():
     spec = RunSpec(
         cfg=CellConfig(
@@ -266,6 +288,40 @@ def test_main_capacity_header_names_the_policy_used(tmp_path):
     lines = (tmp_path / "capacity.csv").read_text().splitlines()
     assert "# policy=jsq" in lines
     assert "# policy=jfq" not in lines
+
+
+def test_main_capacity_approx_needs_fastest_queue_routing(tmp_path, capsys):
+    # the closed form models JFQ; with no SC flows (phi = 0) routing is moot
+    cfg = write_cfg(tmp_path, MINIMAL.replace("areas.1.c2 = 1", "areas.1.c2 = 2")
+                    + "policy = jsq\n")
+    argv = ["capacity", "--config", str(cfg), "--target", "1", "--evaluator", "approx",
+            "--out", str(tmp_path)]
+    assert main(argv + ["--phi", "0.5"]) == 1
+    err = capsys.readouterr().err
+    assert "approx evaluator models fastest-queue (jfq) routing" in err
+    assert "got policy jsq" in err
+    assert not (tmp_path / "capacity.csv").exists()
+    assert main(argv + ["--phi", "0"]) == 0
+
+
+def test_every_dataset_starts_with_the_six_headers(tmp_path, monkeypatch):
+    # README: each file names dataset, config, policy, evaluator, truncation
+    # and seed, in that order, before anything else
+    monkeypatch.setattr(cli, "FIG_RHO_GRID", (0.5,))
+    cfg = str(write_cfg(tmp_path, MINIMAL))
+    runs = {
+        "solve.csv": ["solve", "--config", cfg],
+        "simulate.csv": ["simulate", "--config", cfg, "--completions", "500"],
+        "sweep.csv": ["sweep", "--config", cfg, "--rhos", "0.5"],
+        "capacity.csv": ["capacity", "--config", cfg, "--phi", "0", "--target", "1",
+                         "--evaluator", "approx"],
+        "fig2.csv": ["reproduce", "fig2"],
+    }
+    for name, argv in runs.items():
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+        lines = (tmp_path / "out" / name).read_text().splitlines()
+        keys = [line[2:].split("=", 1)[0] for line in lines[:6]]
+        assert keys == ["dataset", "config", "policy", "evaluator", "truncation", "seed"], name
 
 
 # --- reproduce ----------------------------------------------------------------------

@@ -19,3 +19,35 @@ def test_readme_names_resolve():
         mod = importlib.import_module(f"caflow.{module}")
         missing += [f"caflow.{module}.{n}" for n in (name, second) if n and not hasattr(mod, n)]
     assert not missing, f"README names objects that do not exist: {missing}"
+
+
+def _synopsis_flags():
+    # `caflow <command> ...` lines of README's "Command line" block, with
+    # their indented continuation lines
+    block = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = block.split("```", 2)[1]
+    flags: dict[str, set[str]] = {}
+    command = None
+    for line in block.splitlines():
+        if line.startswith("caflow "):
+            command = line.split()[1]
+            flags[command] = set()
+        if command is not None:
+            flags[command] |= set(re.findall(r"--[\w-]+", line))
+    return flags
+
+
+def test_readme_command_line_flags_are_accepted():
+    from caflow.cli import _build_parser
+
+    parser = _build_parser()
+    subparsers = next(a for a in parser._actions if a.dest == "command").choices
+    synopsis = _synopsis_flags()
+    assert set(synopsis) == set(subparsers)
+    unknown = [
+        f"{command} {flag}"
+        for command, flags in synopsis.items()
+        for flag in sorted(flags)
+        if flag not in subparsers[command]._option_string_actions
+    ]
+    assert not unknown, f"README lists flags its subcommand does not accept: {unknown}"

@@ -146,8 +146,6 @@ def test_traffic_rejects_out_of_range():
 def test_state_validation_and_accessors():
     s = SystemState((1, 2, 3, 4, 5, 6))
     assert (s.n1, s.n2, s.m) == (5, 7, 9)
-    assert s.area(1) == (4, 5, 6)
-    assert s.bump(1, 0).counts == (2, 2, 3, 4, 5, 6)
     with pytest.raises(ConfigError):
         SystemState((1, 2))
     with pytest.raises(ConfigError):

@@ -12,7 +12,9 @@ from caflow.capacity import scenario_presets
 from caflow.ctmc import Truncation, build_generator, solve_model
 from caflow.errors import ConfigError
 from caflow.model import CellConfig, Policy, TrafficMix, harmonic_capacity
-from caflow.sim import Stop, Warmup, _ratio_batch_half_width, simulate
+from caflow.sim import (
+    TREND_SAMPLES, Stop, Warmup, _ols_trend, _ratio_batch_half_width, simulate,
+)
 
 
 def single(c1, c2):
@@ -244,6 +246,20 @@ def test_instability_flag_matches_load_sign():
     light = simulate(cfg, TrafficMix(1.0, 0.5, 1.0), stop=Stop(horizon=300.0),
                      warmup=Warmup(0.2, 10**9), seed=1)
     assert not light.trend.unstable
+
+
+def test_trend_is_exact_past_two_to_the_eighteen_events():
+    # 280,000 events, beyond 2**18: the trend must still read the population
+    # at each grid time exactly, as the full event trace records it
+    traffic = TrafficMix(1.5, 0.5, 1.0)
+    rep = simulate(single(1, 2), traffic, Policy.JFQ, stop=Stop(completions=140_000),
+                   seed=2, collect_trace=300_000)
+    assert rep.events == len(rep.trace) > 1 << 18
+    times = np.array([0.0] + [ev.time for ev in rep.trace])
+    pops = np.array([0.0] + [float(sum(ev.state_after)) for ev in rep.trace])
+    grid = np.linspace(0.0, rep.sim_time, TREND_SAMPLES)
+    expected = _ols_trend(grid, pops[np.searchsorted(times, grid, side="right") - 1])
+    assert rep.trend == expected
 
 
 def test_event_frequencies_match_generator_rates():
