@@ -24,6 +24,7 @@ file. Identical inputs produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import sys
@@ -129,6 +130,8 @@ def _number(lo=None, hi=None, positive=False):
             number = float(value)
         except ValueError:
             raise ValueError(f"not a number: {value!r}") from None
+        if not math.isfinite(number):
+            raise ValueError(f"must be finite, got {value}")
         if lo is not None and number < lo:
             raise ValueError(f"must be >= {lo}, got {value}")
         if hi is not None and number > hi:

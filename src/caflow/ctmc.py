@@ -15,7 +15,10 @@ balance residual under the tolerance.
 The truncation is one number, the cap on the total population. Arrivals
 from a state at the cap are dropped (loss model), whatever their class and
 area; the probability mass of dropped arrivals is reported per class and
-doubles as the accuracy gauge for the truncation. In the lattice that
+doubles as the accuracy gauge for the truncation. :func:`solve_model` sizes
+every cap from one prediction, blocking(N) ~ p rho^N: the first cap takes
+the pooled-queue prefactor p = 1 - rho, and a cap that misses the target
+measures p and steps straight to the cap it predicts. In the lattice that
 :func:`solve_model` solves, a class with zero arrival rate has no axis.
 """
 
@@ -70,7 +73,7 @@ _GMRES_RESTART = 50
 _POLISH_MAX_ITERS = 10**6
 _POLISH_CHUNK = 64
 
-#: doublings of max_total after which solve_model stops growing the lattice
+#: growth steps of max_total after which solve_model stops growing the lattice
 _MAX_GROW = 8
 
 #: int64 headroom for lattice keys and fastest-queue cross-products
@@ -564,21 +567,29 @@ def throughputs_from_distribution(
 # one-call driver with truncation auto-grow
 
 
+def _caps_to_target(blocking: float, rho: float, target_blocking: float) -> int:
+    # caps to add to one whose blocking mass is ``blocking`` for the geometric
+    # tail blocking * rho^k to fall to target_blocking / 2
+    return math.ceil(math.log(2.0 * blocking / target_blocking) / -math.log(rho))
+
+
 def initial_max_total(
     cfg: CellConfig, traffic: TrafficMix, target_blocking: float = DEFAULT_TARGET_BLOCKING
 ) -> int:
     """Load-based first ``max_total`` of :func:`solve_model`.
 
-    Chosen so that the geometric tail rho^N of the total population stays
-    near ``target_blocking``; not capped by any state budget.
+    Under near-ideal pooling the total population is that of one
+    processor-sharing queue of capacity c1 + c2 (Bonald & Proutiere 2003),
+    so the blocking at cap N is close to (1 - rho) rho^N; the first cap is the
+    smallest N that brings this to half of ``target_blocking``, clamped to
+    [10, 4096]. It is not capped by any state budget.
     """
     rho = offered_load(cfg, traffic).rho
     if rho <= 0.0:
         return 10
     if rho >= 1.0:
         return 64
-    guess = math.log(target_blocking * max(1.0 - rho, 1e-6) / 4.0) / math.log(rho)
-    return int(min(max(guess, 10), 4096))
+    return min(max(_caps_to_target(1.0 - rho, rho, target_blocking), 10), 4096)
 
 
 def solve_model(
@@ -593,34 +604,37 @@ def solve_model(
 ) -> tuple[ThroughputReport, StationaryDistribution]:
     """Solve the model end to end, growing the truncation until it is tight.
 
-    Starts from ``trunc`` (or a load-based heuristic, capped at the largest
-    ``max_total`` that fits ``max_states``), doubles ``max_total`` while any
-    blocking mass exceeds ``target_blocking`` (at most ``_MAX_GROW`` times),
-    and stops early when a doubled space would exceed ``max_states`` (the
-    result is then flagged unreliable in the diagnostics if blocking is above
-    the reliability gate). An explicit ``trunc`` whose first space exceeds
-    ``max_states`` raises :class:`StateSpaceTooLargeError`.
+    Starts from ``trunc`` (or :func:`initial_max_total`, capped at the largest
+    ``max_total`` that fits ``max_states``). While any blocking mass b at cap
+    N exceeds ``target_blocking`` (at most ``_MAX_GROW`` times), the next cap
+    extrapolates the measured tail b rho^(k - N) to half of the target; at
+    rho >= 1 it doubles N instead. A next lattice above ``max_states`` is
+    replaced by the largest cap that fits, if that is above N, and solved as
+    the last step (the result is flagged unreliable in the diagnostics if
+    blocking is above the reliability gate). An explicit ``trunc`` whose
+    first space exceeds ``max_states`` raises :class:`StateSpaceTooLargeError`.
     Classes with zero arrival rate get no lattice axis, which leaves the
     stationary law unchanged.
     """
+    rho = offered_load(cfg, traffic).rho
     n_total = trunc.max_total if trunc else initial_max_total(cfg, traffic, target_blocking)
-    grew = 0
-    result = None
+    result, grew, last = None, -1, False
     while True:
         try:
             space = enumerate_states(cfg, Truncation(n_total), max_states, traffic=traffic)
         except StateSpaceTooLargeError as exc:
-            if result is not None:
-                break
             fits = exc.suggested_max_total
-            if trunc is not None or fits is None or fits >= n_total:
+            if result is None and (trunc is not None or fits is None):
                 raise
-            n_total = fits
+            if result is not None and fits <= result.space.truncation.max_total:
+                break
+            n_total, last = fits, True
             continue
         gen = build_generator(cfg, traffic, space, policy)
         result = solve_stationary(gen, tol=tol)
-        if max(result.blocking.values()) <= target_blocking or grew >= _MAX_GROW:
-            break
-        n_total *= 2
         grew += 1
+        blocking = max(result.blocking.values())
+        if last or blocking <= target_blocking or grew >= _MAX_GROW:
+            break
+        n_total += _caps_to_target(blocking, rho, target_blocking) if rho < 1.0 else n_total
     return throughputs_from_distribution(result, _diagnostics(result, grew)), result

@@ -115,6 +115,10 @@ def test_parse_reports_all_problems():
         ("", "ctmc.max_total = 0", (7, "ctmc.max_total: must be a positive integer, got '0'")),
         ("", "ctmc.max_total = x", (7, "ctmc.max_total: must be a positive integer, got 'x'")),
         ("traffic.lambda = 1.0\n", "", (None, "missing traffic.lambda")),
+        ("traffic.lambda = 1.0", "traffic.lambda = inf", (4, "traffic.lambda: must be finite, got inf")),
+        ("traffic.lambda = 1.0", "traffic.lambda = nan", (4, "traffic.lambda: must be finite, got nan")),
+        ("traffic.sigma = 1", "traffic.sigma = inf", (6, "traffic.sigma: must be finite, got inf")),
+        ("traffic.phi = 0.5", "traffic.phi = nan", (5, "traffic.phi: must be finite, got nan")),
     ],
 )
 def test_parse_scalar_key_diagnostics(old, new, expected):

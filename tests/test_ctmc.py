@@ -487,9 +487,42 @@ def test_solve_model_grows_truncation_when_needed():
     cfg = single(1, 1)
     traffic = TrafficMix(1.6, 0.0, 1.0)  # rho = 0.8
     report, _ = solve_model(cfg, traffic, trunc=Truncation(max_total=10))
-    assert report.diagnostics.grew > 0
+    # one step extrapolated from the tail measured at cap 10 is enough
+    assert report.diagnostics.grew == 1
     assert report.diagnostics.blocking_dc <= 1e-8
     assert report.diagnostics.reliable
+
+
+@pytest.mark.parametrize(
+    "policy, phi, rho",
+    [(policy, phi, rho) for policy in (Policy.JFQ, Policy.JSQ)
+     for phi in (0.0, 0.5, 1.0) for rho in (0.3, 0.6)]
+    + [(Policy.JFQ, 1.0, 0.8)],
+)
+def test_first_cap_is_near_the_smallest_that_meets_the_target(policy, phi, rho):
+    # the pooled tail (1 - rho) rho^N sizes the first lattice: no growth step,
+    # and four caps fewer would miss the blocking target
+    cfg = single(1, 2)
+    traffic = TrafficMix(rho * 3.0, phi, 1.0)
+    report, _ = solve_model(cfg, traffic, policy)
+    diag = report.diagnostics
+    assert diag.grew == 0
+    assert diag.blocking_max <= 1e-8
+    space = enumerate_states(cfg, Truncation(diag.max_total - 4), traffic=traffic)
+    smaller = solve_stationary(build_generator(cfg, traffic, space, policy))
+    assert max(smaller.blocking.values()) > 1e-8
+
+
+def test_growth_past_the_budget_solves_the_largest_cap_that_fits():
+    # from cap 40 the tail asks for cap 79 (88,560 states); cap 69 (59,640
+    # states) is the largest within the budget and meets the reliability gate
+    cfg = single(1, 2)
+    traffic = TrafficMix(2.4, 0.5, 1.0)  # rho = 0.8
+    report, _ = solve_model(cfg, traffic, trunc=Truncation(max_total=40), max_states=60_000)
+    diag = report.diagnostics
+    assert (diag.max_total, diag.states, diag.grew) == (69, 59_640, 1)
+    assert 1e-8 < diag.blocking_max <= 1e-6
+    assert diag.reliable
 
 
 def test_degenerate_distribution_is_rejected():
