@@ -219,7 +219,7 @@ def max_sustainable_intensity(query: CapacityQuery) -> CapacityResult:
             note="target equals the zero-load edge throughput; only an empty cell attains it",
         )
     if query.evaluator == "approx":
-        theta = theta_approximation(cfg, phi, target).theta
+        theta = theta_approximation(cfg, phi, target)
         return CapacityResult(
             theta_star=theta, achieved_gamma=target, brackets=((theta, theta),),
             probes=(Probe(theta=theta, gamma=target, half_width=None),), evaluator="approx",

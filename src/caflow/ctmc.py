@@ -9,8 +9,8 @@ throughputs via Little's law.
 
 The stationary law has one solve path: pi_0 = 1 is fixed for the empty
 state, the other balance equations are solved by GMRES with an
-incomplete-LU preconditioner, and a power-iteration polish then brings the
-balance residual under the tolerance.
+incomplete-LU preconditioner, and the balance residual of the normalized
+vector is then checked against ``SOLVE_TOL``.
 
 The truncation is one number, the cap on the total population. Arrivals
 from a state at the cap are dropped (loss model), whatever their class and
@@ -51,7 +51,7 @@ from .model import (
 #: default cap on enumerated states before a solve refuses to proceed
 DEFAULT_STATE_BUDGET = 1_200_000
 
-#: default residual tolerance, relative to the uniformization constant
+#: residual tolerance, relative to the uniformization constant
 SOLVE_TOL = 1e-10
 
 #: blocking mass above which a truncated solve is flagged unreliable
@@ -68,10 +68,6 @@ _ILU_PERMC = "MMD_AT_PLUS_A"
 #: GMRES stopping rule and restart length on the reduced system
 _GMRES_RTOL = 1e-14
 _GMRES_RESTART = 50
-
-#: power-polish iteration cap and the chunk after which its residual is checked
-_POLISH_MAX_ITERS = 10**6
-_POLISH_CHUNK = 64
 
 #: growth steps of max_total after which solve_model stops growing the lattice
 _MAX_GROW = 8
@@ -94,11 +90,6 @@ class Truncation:
 def _lattice_size(axes: int, max_total: int) -> int:
     # points of N^axes whose coordinates sum to at most max_total
     return math.comb(max_total + axes, axes)
-
-
-def count_states(n_areas: int, trunc: Truncation) -> int:
-    """Exact number of states of the full 3J-axis lattice (no enumeration)."""
-    return _lattice_size(3 * n_areas, trunc.max_total)
 
 
 def _suggest_max_total(axes: int, max_total: int, max_states: int) -> int | None:
@@ -338,6 +329,8 @@ class StationaryDistribution:
     ``residual`` is the balance-equation residual normalized by the
     uniformization constant; ``blocking`` maps "sc"/"dc" to the stationary
     probability that an arrival of that class is dropped at the boundary.
+    ``iterations`` is always 0 and ``method`` always "ilu-gmres"; the
+    benchmark's tracer still reads both.
     """
 
     pi: np.ndarray
@@ -353,27 +346,7 @@ class StationaryDistribution:
         return float(self.pi @ values)
 
 
-def _power_polish(qt, unif, x, tol, trace):
-    # stops at tol, at the iteration cap, or after a chunk that fails to
-    # lower the residual (the iteration has stalled)
-    iters = 0
-    inv_unif = 1.0 / unif
-    residual = float(np.abs(qt @ x).max()) * inv_unif
-    trace.append(residual)
-    while residual > tol and iters < _POLISH_MAX_ITERS:
-        for _ in range(_POLISH_CHUNK):
-            x = x + (qt @ x) * inv_unif
-        iters += _POLISH_CHUNK
-        x = np.maximum(x, 0.0)
-        x /= x.sum()
-        residual = float(np.abs(qt @ x).max()) * inv_unif
-        trace.append(residual)
-        if residual >= trace[-2]:
-            break
-    return x, residual, iters
-
-
-def _solve_reduced(qt, unif, trace):
+def _solve_reduced(qt, unif):
     # pi_0 = 1 for the empty state (state 0), which every state reaches, so
     # dropping its balance equation and unknown leaves a non-singular system
     # Q^T[1:, 1:] y = -Q^T[1:, 0] (Stewart 1994, ch. 2 and 5)
@@ -392,43 +365,34 @@ def _solve_reduced(qt, unif, trace):
     x = np.concatenate(([1.0], y))
     if info != 0:
         residual = float(np.abs(qt @ x).max()) / (unif * x.sum())
-        trace.append(residual)
-        raise ConvergenceError(
-            f"GMRES stopped with info={info} (residual {residual:.3e})",
-            residual_trace=trace,
-        )
+        raise ConvergenceError(f"GMRES stopped with info={info} (residual {residual:.3e})")
     return x
 
 
-def solve_stationary(gen: Generator, tol: float = SOLVE_TOL) -> StationaryDistribution:
+def solve_stationary(gen: Generator) -> StationaryDistribution:
     """Stationary distribution of the truncated chain.
 
     Fixes pi_0 = 1 for the empty state, solves the remaining balance
-    equations by GMRES with an incomplete-LU preconditioner, clips and
-    normalizes, then power-polishes until the normalized residual
-    ||pi Q||_inf / unif is at or below ``tol``. A GMRES breakdown, or a polish
-    that stalls (a chunk of 64 iterations fails to lower the residual) or
-    runs out of iterations first, raises :class:`ConvergenceError` carrying
-    the residual trace.
+    equations by GMRES with an incomplete-LU preconditioner, then clips and
+    normalizes. A GMRES breakdown, or a normalized residual ||pi Q||_inf /
+    unif above ``SOLVE_TOL``, raises :class:`ConvergenceError` with the
+    residual in its message.
     """
     n = gen.Q.shape[0]
-    qt = gen.Q.T.tocsr()
     unif = gen.unif if gen.unif > 0 else 1.0
-    trace: list[float] = []
-    x = np.ones(1) if n == 1 else _solve_reduced(gen.Q.T.tocsc(), unif, trace)
+    x = np.ones(1) if n == 1 else _solve_reduced(gen.Q.T.tocsc(), unif)
     x = np.maximum(x, 0.0)
     total = x.sum()
     if not np.isfinite(total):
-        raise ConvergenceError("the reduced solve produced a non-finite vector",
-                               residual_trace=trace)
-    x, residual, iters = _power_polish(qt, unif, x / total, tol, trace)
-    if residual > tol:
+        raise ConvergenceError("the reduced solve produced a non-finite vector")
+    x = x / total
+    residual = float(np.abs(gen.Q.T.tocsr() @ x).max()) * (1.0 / unif)
+    if residual > SOLVE_TOL:
         raise ConvergenceError(
-            f"stationary solve failed to reach tol={tol} (residual {residual:.3e})",
-            residual_trace=trace,
+            f"stationary solve failed to reach tol={SOLVE_TOL} (residual {residual:.3e})"
         )
     dist = StationaryDistribution(
-        pi=x / x.sum(), residual=residual, iterations=iters, method="ilu-gmres",
+        pi=x / x.sum(), residual=residual, iterations=0, method="ilu-gmres",
         blocking={}, space=gen.space, cfg=gen.cfg, traffic=gen.traffic,
     )
     object.__setattr__(dist, "blocking", blocking_mass(dist))
@@ -481,7 +445,6 @@ class SolveDiagnostics:
     blocking_sc: float
     blocking_dc: float
     residual: float
-    iterations: int
     method: str
     reliable: bool
     grew: int = 0
@@ -515,7 +478,6 @@ def _diagnostics(dist: StationaryDistribution, grew: int = 0) -> SolveDiagnostic
         blocking_sc=blocking.get("sc", 0.0),
         blocking_dc=blocking.get("dc", 0.0),
         residual=dist.residual,
-        iterations=dist.iterations,
         method=dist.method,
         reliable=max(blocking.values(), default=0.0) <= RELIABLE_BLOCKING,
         grew=grew,
@@ -599,7 +561,6 @@ def solve_model(
     trunc: Truncation | None = None,
     *,
     target_blocking: float = DEFAULT_TARGET_BLOCKING,
-    tol: float = SOLVE_TOL,
     max_states: int = DEFAULT_STATE_BUDGET,
 ) -> tuple[ThroughputReport, StationaryDistribution]:
     """Solve the model end to end, growing the truncation until it is tight.
@@ -614,7 +575,8 @@ def solve_model(
     blocking is above the reliability gate). An explicit ``trunc`` whose
     first space exceeds ``max_states`` raises :class:`StateSpaceTooLargeError`.
     Classes with zero arrival rate get no lattice axis, which leaves the
-    stationary law unchanged.
+    stationary law unchanged. Every solve is one :func:`solve_stationary`
+    call, held to ``SOLVE_TOL``.
     """
     rho = offered_load(cfg, traffic).rho
     n_total = trunc.max_total if trunc else initial_max_total(cfg, traffic, target_blocking)
@@ -631,7 +593,7 @@ def solve_model(
             n_total, last = fits, True
             continue
         gen = build_generator(cfg, traffic, space, policy)
-        result = solve_stationary(gen, tol=tol)
+        result = solve_stationary(gen)
         grew += 1
         blocking = max(result.blocking.values())
         if last or blocking <= target_blocking or grew >= _MAX_GROW:

@@ -45,14 +45,7 @@ class StateSpaceTooLargeError(CaflowError, RuntimeError):
 
 
 class ConvergenceError(CaflowError, RuntimeError):
-    """Stationary solve failed to reach the residual tolerance.
-
-    ``residual_trace`` holds the normalized residuals observed along the way.
-    """
-
-    def __init__(self, message, residual_trace=None):
-        super().__init__(message)
-        self.residual_trace = list(residual_trace or [])
+    """Stationary solve failed to reach the residual tolerance."""
 
 
 class DegenerateSolveError(CaflowError, RuntimeError):

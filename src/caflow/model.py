@@ -513,18 +513,7 @@ def sc_jfq_throughput_approx(cfg: CellConfig, rho: float, j: int) -> float:
     return cfg.areas[j].c_max * (1.0 - rho)
 
 
-@dataclass(frozen=True)
-class ThetaApprox:
-    """Closed-form sustainable-intensity estimate, clamped at 0.
-
-    ``clamped`` is set when the closed form went negative.
-    """
-
-    theta: float
-    clamped: bool
-
-
-def theta_approximation(cfg: CellConfig, phi: float, target_gamma_edge: float) -> ThetaApprox:
+def theta_approximation(cfg: CellConfig, phi: float, target_gamma_edge: float) -> float:
     """Sustainable traffic intensity for a mean-throughput target at the cell edge.
 
     Treating SC throughput as c_max*(1-rho), DC throughput as (c1+c2)*(1-rho)
@@ -545,8 +534,7 @@ def theta_approximation(cfg: CellConfig, phi: float, target_gamma_edge: float) -
         raise InfeasibleTargetError(
             f"target {target_gamma_edge!r} Mbit/s exceeds the zero-load edge limit {cap!r}"
         )
-    theta = c_bar * (1.0 - target_gamma_edge / cap)
-    return ThetaApprox(theta=max(theta, 0.0), clamped=theta < 0.0)
+    return c_bar * (1.0 - target_gamma_edge / cap)
 
 
 # ---------------------------------------------------------------------------

@@ -95,7 +95,7 @@ def test_approx_is_the_closed_form_in_one_probe():
     result = max_sustainable_intensity(
         CapacityQuery(cfg=cfg, phi=0.5, target_gamma=target, evaluator="approx")
     )
-    assert result.theta_star == theta_approximation(cfg, 0.5, target).theta
+    assert result.theta_star == theta_approximation(cfg, 0.5, target)
     assert result.achieved_gamma == target
     assert result.brackets == ((result.theta_star, result.theta_star),)
     assert len(result.probes) == 1

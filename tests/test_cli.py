@@ -201,6 +201,33 @@ def test_main_numerical_failure_exit_code(tmp_path, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_main_solve_rejects_max_total_zero(tmp_path, capsys):
+    # an explicit cap of 0 is refused like the config key, not replaced by
+    # the heuristic start
+    cfg = write_cfg(tmp_path, MINIMAL)
+    rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path), "--max-total", "0"])
+    assert rc == 1
+    assert capsys.readouterr().err.strip() == "max_total must be >= 1, got 0"
+    assert not (tmp_path / "solve.csv").exists()
+
+
+def test_run_sweep_rejects_max_total_zero(tmp_path):
+    spec = RunSpec(cfg=CellConfig.single_area(1, 2), traffic=TrafficMix(1.0, 0.5, 1.0),
+                   max_total=0)
+    with pytest.raises(ConfigError, match="max_total must be >= 1"):
+        cli.run_sweep(spec, SweepGrid(rhos=(0.5,), phis=(0.5,)), tmp_path, workers=1)
+
+
+@pytest.mark.parametrize("flag", ["--rhos", "--phis"])
+def test_main_sweep_rejects_a_non_numeric_list(tmp_path, capsys, flag):
+    cfg = write_cfg(tmp_path, MINIMAL)
+    args = {"--rhos": "0.2", "--phis": "0.5", flag: "0.1,abc"}
+    rc = main(["sweep", "--config", str(cfg), "--out", str(tmp_path),
+               *(item for pair in args.items() for item in pair)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"{flag}: not a comma-separated number list: '0.1,abc'\n"
+
+
 def test_main_simulate_emits_estimates_and_trace(tmp_path):
     cfg = write_cfg(tmp_path, MINIMAL)
     rc = main([
@@ -392,16 +419,19 @@ def test_run_validate_passes(capsys):
     assert "FAIL" not in out
 
 
-def test_run_validate_detects_corrupted_generator(capsys):
+def test_run_validate_detects_corrupted_generator(capsys, monkeypatch):
     from dataclasses import replace
 
+    default = cli._default_generator
+
     def corrupted():
-        gen = cli._default_generator()
+        gen = default()
         bad = gen.Q.tolil()
         bad[0, 0] = 1.0  # break the zero row-sum invariant
         return replace(gen, Q=bad.tocsr())
 
-    assert run_validate(generator_factory=corrupted) == 3
+    monkeypatch.setattr(cli, "_default_generator", corrupted)
+    assert run_validate() == 3
     out = capsys.readouterr().out
     assert "[FAIL] generator-row-sums" in out
 
@@ -423,13 +453,14 @@ def test_run_validate_detects_jfq_joining_the_slower_carrier(capsys, monkeypatch
     assert out.count("[FAIL]") == 1
 
 
-def test_run_validate_reports_skips(capsys):
+def test_run_validate_reports_skips(capsys, monkeypatch):
     def tiny_budget_factory():
         raise cli.StateSpaceTooLargeError("budget exceeded for this check")
 
-    rc = run_validate(generator_factory=tiny_budget_factory)
+    monkeypatch.setattr(cli, "_default_generator", tiny_budget_factory)
+    rc = run_validate()
     out = capsys.readouterr().out
-    # the generator-dependent checks fail hard (factory raised a caflow error
-    # other than a skip); the stationary check reports SKIP
-    assert "[SKIP] stationary-solution" in out
+    # a caflow error from the generator fails both checks that use it
+    assert "[FAIL] generator-row-sums" in out
+    assert "[FAIL] stationary-solution" in out
     assert rc == 3

@@ -419,19 +419,17 @@ def lte_config():
 
 
 def test_theta_zero_target_gives_full_capacity():
-    res = theta_approximation(lte_config(), 0.5, 0.0)
-    assert res.theta == pytest.approx(40.0)
+    assert theta_approximation(lte_config(), 0.5, 0.0) == pytest.approx(40.0)
 
 
 def test_theta_lte_sc_only():
-    res = theta_approximation(lte_config(), 1.0, 10.0)
-    assert res.theta == pytest.approx(40.0 * (1.0 - 10.0 / 15.0), rel=1e-12)
-    assert not res.clamped
+    theta = theta_approximation(lte_config(), 1.0, 10.0)
+    assert theta == pytest.approx(40.0 * (1.0 - 10.0 / 15.0), rel=1e-12)
 
 
 def test_theta_lte_dc_only():
-    res = theta_approximation(lte_config(), 0.0, 10.0)
-    assert res.theta == pytest.approx(40.0 * (1.0 - 10.0 / 22.0), rel=1e-12)
+    theta = theta_approximation(lte_config(), 0.0, 10.0)
+    assert theta == pytest.approx(40.0 * (1.0 - 10.0 / 22.0), rel=1e-12)
 
 
 def test_theta_infeasible_target():
@@ -449,13 +447,10 @@ def test_theta_infeasible_target():
 def test_theta_monotone_in_target_and_phi(phi_a, phi_b, target_a, target_b):
     cfg = lte_config()
     lo_t, hi_t = sorted((target_a, target_b))
-    res_lo = theta_approximation(cfg, phi_a, lo_t)
-    res_hi = theta_approximation(cfg, phi_a, hi_t)
-    assert res_hi.theta <= res_lo.theta + 1e-9
+    assert theta_approximation(cfg, phi_a, hi_t) <= theta_approximation(cfg, phi_a, lo_t) + 1e-9
     lo_p, hi_p = sorted((phi_a, phi_b))
-    res_lo_p = theta_approximation(cfg, lo_p, target_a)
-    res_hi_p = theta_approximation(cfg, hi_p, target_a)
-    assert res_hi_p.theta <= res_lo_p.theta + 1e-9
+    assert (theta_approximation(cfg, hi_p, target_a)
+            <= theta_approximation(cfg, lo_p, target_a) + 1e-9)
 
 
 def test_bernoulli_probabilities():
