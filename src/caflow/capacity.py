@@ -120,7 +120,6 @@ class CapacityQuery:
 class Probe:
     theta: float
     gamma: float
-    half_width: float | None
 
 
 @dataclass(frozen=True)
@@ -158,14 +157,14 @@ def _make_evaluator(query: CapacityQuery, gamma_tol: float):
         def probe_ctmc(theta: float, _probe_id: int) -> Probe:
             traffic = TrafficMix(theta / query.sigma, phi, query.sigma)
             report, _ = solve_model(cfg, traffic, query.policy)
-            return Probe(theta=theta, gamma=_gamma_from_report(report, area), half_width=None)
+            return Probe(theta=theta, gamma=_gamma_from_report(report, area))
 
         return probe_ctmc
 
     def probe_sim(theta: float, probe_id: int) -> Probe:
         traffic = TrafficMix(theta / query.sigma, phi, query.sigma)
         completions = SIM_COMPLETIONS
-        gamma = half = None
+        gamma = None
         for round_ in range(SIM_MAX_DOUBLINGS + 1):
             rep = simulate(
                 cfg,
@@ -189,7 +188,7 @@ def _make_evaluator(query: CapacityQuery, gamma_tol: float):
             if abs(gamma - query.target_gamma) > half or half <= gamma_tol / 2.0:
                 break
             completions *= 2
-        return Probe(theta=theta, gamma=gamma, half_width=half)
+        return Probe(theta=theta, gamma=gamma)
 
     return probe_sim
 
@@ -222,7 +221,7 @@ def max_sustainable_intensity(query: CapacityQuery) -> CapacityResult:
         theta = theta_approximation(cfg, phi, target)
         return CapacityResult(
             theta_star=theta, achieved_gamma=target, brackets=((theta, theta),),
-            probes=(Probe(theta=theta, gamma=target, half_width=None),), evaluator="approx",
+            probes=(Probe(theta=theta, gamma=target),), evaluator="approx",
         )
 
     c_bar = harmonic_capacity(cfg)

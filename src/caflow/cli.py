@@ -8,7 +8,6 @@ Config files are flat ``key = value`` text (``#`` comments allowed)::
     traffic.lambda = 2.0   # flow arrivals per second
     traffic.phi    = 0.5   # SC fraction
     traffic.sigma  = 1.0   # mean flow volume (Mbit)
-    ctmc.max_total = 60    # optional truncation start
     policy = jfq           # jfq | jsq | bernoulli
     seed = 0
 
@@ -93,7 +92,6 @@ class RunSpec:
     cfg: CellConfig
     traffic: TrafficMix
     policy: Policy = Policy.JFQ
-    max_total: int | None = None
     seed: int = 0
 
 
@@ -172,7 +170,6 @@ _SCALARS = {
     "traffic.sigma": (_number(positive=True), _REQUIRED),
     "policy": (_policy, Policy.JFQ),
     "seed": (_integer(0, "non-negative"), 0),
-    "ctmc.max_total": (_integer(1, "positive"), None),
 }
 
 
@@ -277,7 +274,6 @@ def parse_config_text(text: str, source: str = "<config>") -> RunSpec:
         cfg=cfg,
         traffic=TrafficMix(*(values[f"traffic.{key}"] for key in ("lambda", "phi", "sigma"))),
         policy=values["policy"],
-        max_total=values["ctmc.max_total"],
         seed=values["seed"],
     )
 
@@ -323,8 +319,6 @@ def emit_config(spec: RunSpec) -> str:
     lines.append(f"traffic.lambda = {spec.traffic.lambda_total!r}")
     lines.append(f"traffic.phi = {spec.traffic.phi!r}")
     lines.append(f"traffic.sigma = {spec.traffic.sigma!r}")
-    if spec.max_total is not None:
-        lines.append(f"ctmc.max_total = {spec.max_total}")
     lines.append(f"policy = {spec.policy.value}")
     lines.append(f"seed = {spec.seed}")
     return "\n".join(lines) + "\n"
@@ -402,8 +396,7 @@ def _solve_row(spec_policy, traffic, rho, report) -> list:
 
 
 def run_solve(spec: RunSpec, out_dir: Path) -> Path:
-    trunc = Truncation(max_total=spec.max_total) if spec.max_total is not None else None
-    report, _ = solve_model(spec.cfg, spec.traffic, spec.policy, trunc)
+    report, _ = solve_model(spec.cfg, spec.traffic, spec.policy)
     rho = offered_load(spec.cfg, spec.traffic).rho
     meta = _meta(
         "solve", _config_summary(spec.cfg), spec.policy.value, "ctmc",
@@ -466,11 +459,10 @@ def run_simulate(
 
 
 def _sweep_worker(payload):
-    cfg, sigma, policy, rho, phi, max_total = payload
+    cfg, sigma, policy, rho, phi = payload
     lam = rho * harmonic_capacity(cfg) / sigma
     traffic = TrafficMix(lam, phi, sigma)
-    trunc = Truncation(max_total=max_total) if max_total is not None else None
-    report, _ = solve_model(cfg, traffic, policy, trunc)
+    report, _ = solve_model(cfg, traffic, policy)
     return _solve_row(policy, traffic, rho, report)
 
 
@@ -491,8 +483,7 @@ def run_sweep(
 ) -> Path:
     workers = resolve_workers() if workers is None else workers
     payloads = [
-        (spec.cfg, spec.traffic.sigma, spec.policy, rho, phi, spec.max_total)
-        for rho, phi in grid.points()
+        (spec.cfg, spec.traffic.sigma, spec.policy, rho, phi) for rho, phi in grid.points()
     ]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -501,7 +492,7 @@ def run_sweep(
         rows = [_sweep_worker(p) for p in payloads]
     meta = _meta(
         "sweep", _config_summary(spec.cfg), spec.policy.value, "ctmc",
-        f"auto(start={spec.max_total or 'heuristic'})", spec.seed,
+        "auto(start=heuristic)", spec.seed,
         ("grid_rhos", ",".join(f"{r:g}" for r in grid.rhos)),
         ("grid_phis", ",".join(f"{p:g}" for p in grid.phis)),
     )
@@ -570,13 +561,15 @@ def _gamma_point(cfg, phi, rho, policy, seed, stream):
     """(gamma_sc, gamma_dc, gamma_bar, evaluator) at one (rho, phi) point.
 
     Prefers the exact solver; falls back to the simulator when the truncated
-    lattice within the blocking target would exceed the state budget.
+    lattice within the blocking target would exceed the state budget, or when
+    the solve within the budget is flagged unreliable (blocking above the
+    reliability gate).
     """
     lam = rho * harmonic_capacity(cfg)
     traffic = TrafficMix(lam, phi, 1.0)
     # an explicit first truncation makes an oversized lattice raise instead
     # of being capped to the budget
-    start = Truncation(max_total=initial_max_total(cfg, traffic))
+    start = Truncation(max_total=initial_max_total(cfg, traffic, policy))
     try:
         report, _ = solve_model(cfg, traffic, policy, start, max_states=REPRO_MAX_STATES)
         if report.diagnostics.reliable:
@@ -859,7 +852,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="stationary solve of one configuration")
     add_common(p_solve)
-    p_solve.add_argument("--max-total", type=int, default=None, help="truncation start")
 
     p_sim = sub.add_parser("simulate", help="event-driven simulation of one configuration")
     add_common(p_sim)
@@ -938,8 +930,6 @@ def main(argv=None) -> int:
             spec = replace(spec, seed=args.seed)
         out_dir = Path(args.out)
         if args.command == "solve":
-            if args.max_total is not None:
-                spec = replace(spec, max_total=args.max_total)
             path = run_solve(spec, out_dir)
         elif args.command == "simulate":
             path = run_simulate(

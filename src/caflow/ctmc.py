@@ -17,9 +17,10 @@ from a state at the cap are dropped (loss model), whatever their class and
 area; the probability mass of dropped arrivals is reported per class and
 doubles as the accuracy gauge for the truncation. :func:`solve_model` sizes
 every cap from one prediction, blocking(N) ~ p rho^N: the first cap takes
-the pooled-queue prefactor p = 1 - rho, and a cap that misses the target
-measures p and steps straight to the cap it predicts. In the lattice that
-:func:`solve_model` solves, a class with zero arrival rate has no axis.
+the pooled-queue prefactor p = 1 - rho (or, for coin-flip routing of SC-only
+traffic, the tail of two independent queues), and a cap that misses the
+target measures p and steps straight to the cap it predicts. In the lattice
+that :func:`solve_model` solves, a class with zero arrival rate has no axis.
 """
 
 from __future__ import annotations
@@ -106,7 +107,7 @@ def _suggest_max_total(axes: int, max_total: int, max_states: int) -> int | None
 class StateSpace:
     """Lexicographically ordered enumeration of the truncated lattice.
 
-    The index is bijective: ``state_at(index_of(s)) == s``. Each state's key
+    The index is bijective: ``index_of(counts[i]) == i``. Each state's key
     reads its counts as the digits of a mixed-radix number, so the keys are
     sorted like the rows. A component's radix is its largest count + 1: on an
     enumerated lattice that is ``max_total + 1``, or 1 on the axis of a class
@@ -130,9 +131,6 @@ class StateSpace:
 
     def __len__(self) -> int:
         return self.counts.shape[0]
-
-    def state_at(self, i: int) -> SystemState:
-        return SystemState(tuple(int(c) for c in self.counts[i]))
 
     def index_of(self, state: SystemState | Sequence[int]) -> int:
         counts = state.counts if isinstance(state, SystemState) else tuple(int(c) for c in state)
@@ -219,7 +217,6 @@ class Generator:
     Q: sp.csr_matrix
     unif: float
     space: StateSpace
-    policy: Policy
     cfg: CellConfig
     traffic: TrafficMix
 
@@ -229,7 +226,6 @@ def build_generator(
     traffic: TrafficMix,
     trunc_or_space: Truncation | StateSpace,
     policy: Policy = Policy.JFQ,
-    max_states: int = DEFAULT_STATE_BUDGET,
 ) -> Generator:
     """Assemble the rate matrix for the truncated process under a policy.
 
@@ -244,7 +240,7 @@ def build_generator(
     space = (
         trunc_or_space
         if isinstance(trunc_or_space, StateSpace)
-        else enumerate_states(cfg, trunc_or_space, max_states)
+        else enumerate_states(cfg, trunc_or_space)
     )
     trunc = space.truncation
     n = len(space)
@@ -313,8 +309,7 @@ def build_generator(
     data = np.concatenate([data, -outflow])
     q_mat = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
     return Generator(
-        Q=q_mat, unif=float(outflow.max(initial=0.0)), space=space, policy=policy,
-        cfg=cfg, traffic=traffic,
+        Q=q_mat, unif=float(outflow.max(initial=0.0)), space=space, cfg=cfg, traffic=traffic
     )
 
 
@@ -426,7 +421,7 @@ def blocking_mass(dist: StationaryDistribution) -> dict[str, float]:
 
 @dataclass(frozen=True)
 class AreaThroughput:
-    """Little's-law throughputs and mean occupancies for one area.
+    """Little's-law throughputs for one area.
 
     A class with zero arrival rate is reported as absent (None), not as 0.
     """
@@ -434,8 +429,6 @@ class AreaThroughput:
     gamma_sc: float | None
     gamma_dc: float | None
     gamma_bar: float | None
-    mean_sc: float
-    mean_dc: float
 
 
 @dataclass(frozen=True)
@@ -457,7 +450,6 @@ class SolveDiagnostics:
 @dataclass(frozen=True)
 class ThroughputReport:
     per_area: tuple[AreaThroughput, ...]
-    phi: float
     diagnostics: SolveDiagnostics
 
     def gamma_sc(self, j: int) -> float | None:
@@ -493,7 +485,6 @@ def throughputs_from_distribution(
     E[m_j]; the class-weighted mean uses the SC fraction phi.
     """
     cfg, traffic, space = dist.cfg, dist.traffic, dist.space
-    phi = traffic.phi
     areas = []
     for j in range(space.n_areas):
         i1, i2, i3 = 3 * j, 3 * j + 1, 3 * j + 2
@@ -516,13 +507,10 @@ def throughputs_from_distribution(
         areas.append(
             AreaThroughput(
                 gamma_sc=gamma_sc, gamma_dc=gamma_dc,
-                gamma_bar=mixed_mean_throughput(gamma_sc, gamma_dc, phi),
-                mean_sc=mean_sc, mean_dc=mean_dc,
+                gamma_bar=mixed_mean_throughput(gamma_sc, gamma_dc, traffic.phi),
             )
         )
-    return ThroughputReport(
-        per_area=tuple(areas), phi=phi, diagnostics=diagnostics or _diagnostics(dist)
-    )
+    return ThroughputReport(per_area=tuple(areas), diagnostics=diagnostics or _diagnostics(dist))
 
 
 # ---------------------------------------------------------------------------
@@ -536,22 +524,34 @@ def _caps_to_target(blocking: float, rho: float, target_blocking: float) -> int:
 
 
 def initial_max_total(
-    cfg: CellConfig, traffic: TrafficMix, target_blocking: float = DEFAULT_TARGET_BLOCKING
+    cfg: CellConfig,
+    traffic: TrafficMix,
+    policy: Policy = Policy.JFQ,
+    target_blocking: float = DEFAULT_TARGET_BLOCKING,
 ) -> int:
     """Load-based first ``max_total`` of :func:`solve_model`.
 
     Under near-ideal pooling the total population is that of one
     processor-sharing queue of capacity c1 + c2 (Bonald & Proutiere 2003),
     so the blocking at cap N is close to (1 - rho) rho^N; the first cap is the
-    smallest N that brings this to half of ``target_blocking``, clamped to
-    [10, 4096]. It is not capped by any state budget.
+    smallest N that brings this to half of ``target_blocking``. Coin-flip
+    routing of SC-only traffic instead leaves each carrier a processor-sharing
+    queue at load rho, whose summed population has the heavier tail
+    (N + 1)(1 - rho)^2 rho^N; there the cap steps up from the pooled one until
+    that tail meets the same half-target. The cap is clamped to [10, 4096] and
+    not capped by any state budget.
     """
     rho = offered_load(cfg, traffic).rho
     if rho <= 0.0:
         return 10
     if rho >= 1.0:
         return 64
-    return min(max(_caps_to_target(1.0 - rho, rho, target_blocking), 10), 4096)
+    n_total = min(max(_caps_to_target(1.0 - rho, rho, target_blocking), 10), 4096)
+    if Policy(policy) is Policy.BERNOULLI and traffic.beta == 0:
+        half = target_blocking / 2.0
+        while n_total < 4096 and (n_total + 1) * (1.0 - rho) ** 2 * rho**n_total > half:
+            n_total += 1
+    return n_total
 
 
 def solve_model(
@@ -579,7 +579,10 @@ def solve_model(
     call, held to ``SOLVE_TOL``.
     """
     rho = offered_load(cfg, traffic).rho
-    n_total = trunc.max_total if trunc else initial_max_total(cfg, traffic, target_blocking)
+    n_total = (
+        trunc.max_total if trunc
+        else initial_max_total(cfg, traffic, policy, target_blocking)
+    )
     result, grew, last = None, -1, False
     while True:
         try:

@@ -369,11 +369,10 @@ def vb_split(state: SystemState, j: int, cfg: CellConfig, dt: float) -> tuple[fl
 
 @dataclass(frozen=True)
 class LoadSummary:
-    """System load, its per-area decomposition, and the pooled capacity."""
+    """System load and its per-area decomposition."""
 
     rho: float
     rho_per_area: tuple[float, ...]
-    c_bar: float
 
 
 def harmonic_capacity(cfg: CellConfig) -> float:
@@ -394,7 +393,7 @@ def offered_load(cfg: CellConfig, traffic: TrafficMix) -> LoadSummary:
     vol = traffic.intensity
     rho_per_area = tuple(vol * a.q / a.c_total for a in cfg.areas)
     rho = math.fsum(rho_per_area)
-    return LoadSummary(rho=rho, rho_per_area=rho_per_area, c_bar=harmonic_capacity(cfg))
+    return LoadSummary(rho=rho, rho_per_area=rho_per_area)
 
 
 class Stability(enum.Enum):

@@ -80,13 +80,12 @@ class ClassEstimate:
 
     ``gamma_hat`` is sum(volume)/sum(sojourn) over post-warmup completions;
     ``half_width`` comes from batch means at confidence level ``CI_LEVEL``.
-    Groups below the completion minimum are marked insufficient instead.
+    Groups below the completion minimum are not estimated: both are None.
     """
 
     gamma_hat: float | None
     half_width: float | None
     completions: int
-    insufficient: bool = False
 
 
 @dataclass(frozen=True)
@@ -106,14 +105,10 @@ class TraceEvent:
 
 @dataclass(frozen=True)
 class SimReport:
-    policy: Policy
-    seed: int
-    stream: int
     sim_time: float
     events: int
     total_completions: int
     estimates: dict[tuple[str, int], ClassEstimate]
-    occupancy: dict[tuple[str, int], float]  # time-average of n1/n2/m per area
     trend: TrendStats
     trace: tuple[TraceEvent, ...] = ()
 
@@ -191,7 +186,6 @@ def simulate(
     done_arr = array("d")
     done_at = array("d")
 
-    occ = [[0.0, 0.0, 0.0] for _ in range(n_areas)]
     trace: list[TraceEvent] = []
 
     t = 0.0
@@ -224,17 +218,7 @@ def simulate(
             break
         else:
             dt = math.inf  # no event can occur: the state holds until the horizon
-        at_horizon = horizon is not None and t + dt >= horizon
-        if at_horizon:
-            dt = horizon - t
-        for (a, b, c), oj in zip(counts, occ):  # skipping 0 * dt leaves each sum unchanged
-            if a:
-                oj[0] += a * dt
-            if b:
-                oj[1] += b * dt
-            if c:
-                oj[2] += c * dt
-        if at_horizon:
+        if horizon is not None and t + dt >= horizon:
             t = horizon
             break
         t += dt
@@ -334,7 +318,7 @@ def simulate(
             count = int(sel.sum())
             if count < max(min_group, 2 * n_batches):
                 estimates[(kind, j)] = ClassEstimate(
-                    gamma_hat=None, half_width=None, completions=count, insufficient=True
+                    gamma_hat=None, half_width=None, completions=count
                 )
                 continue
             v = vols[sel]
@@ -345,20 +329,11 @@ def simulate(
                 gamma_hat=gamma, half_width=half, completions=count
             )
 
-    occupancy = {}
-    for j in range(n_areas):
-        for k, name in enumerate(("n1", "n2", "m")):
-            occupancy[(name, j)] = occ[j][k] / end_time if end_time > 0 else 0.0
-
     return SimReport(
-        policy=routing,
-        seed=seed,
-        stream=stream,
         sim_time=end_time,
         events=events,
         total_completions=completions,
         estimates=estimates,
-        occupancy=occupancy,
         trend=trend,
         trace=tuple(trace),
     )

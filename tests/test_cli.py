@@ -15,7 +15,7 @@ from caflow.cli import (
     run_reproduce,
     run_validate,
 )
-from caflow.errors import ConfigError
+from caflow.errors import ConfigError, ConvergenceError
 from caflow.model import CellConfig, Policy, TrafficMix
 
 
@@ -44,7 +44,6 @@ def test_parse_minimal_config():
     assert spec.traffic.phi == 0.5
     assert spec.policy is Policy.JFQ
     assert spec.seed == 0
-    assert spec.max_total is None
 
 
 def test_parse_accepts_comments_and_policy():
@@ -112,8 +111,10 @@ def test_parse_reports_all_problems():
         ("traffic.sigma = 1", "traffic.sigma = x", (6, "traffic.sigma: not a number: 'x'")),
         ("", "policy = fifo", (7, "policy: must be one of jfq, jsq, bernoulli, got 'fifo'")),
         ("", "seed = -1", (7, "seed: must be a non-negative integer, got '-1'")),
-        ("", "ctmc.max_total = 0", (7, "ctmc.max_total: must be a positive integer, got '0'")),
-        ("", "ctmc.max_total = x", (7, "ctmc.max_total: must be a positive integer, got 'x'")),
+        # the solver sizes the truncation itself: the key is refused whatever
+        # its value
+        ("", "ctmc.max_total = 0", (7, "unknown key 'ctmc.max_total'")),
+        ("", "ctmc.max_total = x", (7, "unknown key 'ctmc.max_total'")),
         ("traffic.lambda = 1.0\n", "", (None, "missing traffic.lambda")),
         ("traffic.lambda = 1.0", "traffic.lambda = inf", (4, "traffic.lambda: must be finite, got inf")),
         ("traffic.lambda = 1.0", "traffic.lambda = nan", (4, "traffic.lambda: must be finite, got nan")),
@@ -139,7 +140,6 @@ def test_config_round_trip_is_exact():
         ),
         traffic=TrafficMix(2.7182818, 0.31830988, 1.5),
         policy=Policy.BERNOULLI,
-        max_total=77,
         seed=12345,
     )
     again = parse_config_text(emit_config(spec))
@@ -191,31 +191,20 @@ def test_main_rejects_bad_config(tmp_path, capsys):
     assert "sum to 1" in capsys.readouterr().err
 
 
-def test_main_numerical_failure_exit_code(tmp_path, capsys):
-    # a truncation whose lattice exceeds the state budget is a numerical
-    # failure (exit 2), not a config error
+def test_main_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
+    # a solve that cannot reach its tolerance is a numerical failure (exit 2),
+    # not a config error
+    def fail(*_args, **_kwargs):
+        raise ConvergenceError("stationary solve failed to reach tol=1e-10")
+
+    monkeypatch.setattr(cli, "solve_model", fail)
     cfg = write_cfg(tmp_path, MINIMAL)
-    rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path),
-               "--max-total", "400"])
+    rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path)])
     assert rc == 2
-    assert "budget" in capsys.readouterr().err
-
-
-def test_main_solve_rejects_max_total_zero(tmp_path, capsys):
-    # an explicit cap of 0 is refused like the config key, not replaced by
-    # the heuristic start
-    cfg = write_cfg(tmp_path, MINIMAL)
-    rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path), "--max-total", "0"])
-    assert rc == 1
-    assert capsys.readouterr().err.strip() == "max_total must be >= 1, got 0"
+    assert capsys.readouterr().err == (
+        "numerical failure: stationary solve failed to reach tol=1e-10\n"
+    )
     assert not (tmp_path / "solve.csv").exists()
-
-
-def test_run_sweep_rejects_max_total_zero(tmp_path):
-    spec = RunSpec(cfg=CellConfig.single_area(1, 2), traffic=TrafficMix(1.0, 0.5, 1.0),
-                   max_total=0)
-    with pytest.raises(ConfigError, match="max_total must be >= 1"):
-        cli.run_sweep(spec, SweepGrid(rhos=(0.5,), phis=(0.5,)), tmp_path, workers=1)
 
 
 @pytest.mark.parametrize("flag", ["--rhos", "--phis"])

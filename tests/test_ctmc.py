@@ -65,7 +65,7 @@ def test_enumerate_is_lexicographic_and_bijective():
     rows = space.counts.tolist()
     assert rows == sorted(rows)
     for i in range(len(space)):
-        assert space.index_of(space.state_at(i)) == i
+        assert space.index_of(space.counts[i]) == i
     # outside the lattice, including states whose keys could alias a member
     for outside in [(4, 0, 0), (1, 1, 2), (0, 4, 0), (0, 0, 4), (1, 0, 4), (0, 1, -1)]:
         with pytest.raises(KeyError):
@@ -81,7 +81,7 @@ def test_two_area_space_with_a_pruned_class_round_trips():
     )
     assert len(space) == math.comb(1300 + 2, 2)
     for i in (0, 1, 650, len(space) // 2, len(space) - 1):
-        assert space.index_of(space.state_at(i)) == i
+        assert space.index_of(space.counts[i]) == i
     assert space.index_of((0, 0, 1300, 0, 0, 0)) == len(space) - 1
     with pytest.raises(KeyError):
         space.index_of((1, 0, 0, 0, 0, 0))
@@ -309,8 +309,7 @@ def test_solve_one_state_space():
     traffic = TrafficMix(0.0, 0.0, 1.0)
     space = StateSpace(np.zeros((1, 3), dtype=np.int32), Truncation(max_total=1))
     gen = Generator(
-        Q=sp.csr_matrix((1, 1)), unif=0.0, space=space, policy=Policy.JFQ,
-        cfg=cfg, traffic=traffic,
+        Q=sp.csr_matrix((1, 1)), unif=0.0, space=space, cfg=cfg, traffic=traffic
     )
     dist = solve_stationary(gen)
     assert dist.pi.tolist() == [1.0]
@@ -494,11 +493,13 @@ def test_solve_model_grows_truncation_when_needed():
     "policy, phi, rho",
     [(policy, phi, rho) for policy in (Policy.JFQ, Policy.JSQ)
      for phi in (0.0, 0.5, 1.0) for rho in (0.3, 0.6)]
-    + [(Policy.JFQ, 1.0, 0.8)],
+    + [(Policy.JFQ, 1.0, 0.8)]
+    + [(Policy.BERNOULLI, 1.0, rho) for rho in (0.3, 0.6, 0.8)],
 )
 def test_first_cap_is_near_the_smallest_that_meets_the_target(policy, phi, rho):
-    # the pooled tail (1 - rho) rho^N sizes the first lattice: no growth step,
-    # and four caps fewer would miss the blocking target
+    # the pooled tail (1 - rho) rho^N, or under coin-flip routing of SC-only
+    # traffic the two-queue tail (N + 1)(1 - rho)^2 rho^N, sizes the first
+    # lattice: no growth step, and four caps fewer would miss the target
     cfg = single(1, 2)
     traffic = TrafficMix(rho * 3.0, phi, 1.0)
     report, _ = solve_model(cfg, traffic, policy)

@@ -51,3 +51,13 @@ def test_readme_command_line_flags_are_accepted():
         if flag not in subparsers[command]._option_string_actions
     ]
     assert not unknown, f"README lists flags its subcommand does not accept: {unknown}"
+
+
+def test_readme_config_block_parses():
+    # README's "Config format" example is a complete config, so a key that the
+    # parser no longer accepts cannot stay documented there
+    from caflow.cli import parse_config_text
+
+    block = README.read_text(encoding="utf-8").split("### Config format", 1)[1]
+    spec = parse_config_text(block.split("```", 2)[1], source="README.md")
+    assert spec.cfg.n_areas == 2

@@ -63,7 +63,6 @@ def test_simulate_is_deterministic():
     assert rep_a.estimates == rep_b.estimates
     assert rep_a.sim_time == rep_b.sim_time
     assert rep_a.trace == rep_b.trace
-    assert rep_a.occupancy == rep_b.occupancy
 
 
 def test_streams_are_independent():
@@ -118,8 +117,8 @@ def test_insufficient_group_marked_not_estimated():
     traffic = TrafficMix(1.0, 0.99, 1.0)  # DC arrivals are rare
     rep = simulate(cfg, traffic, stop=Stop(completions=2000), warmup=Warmup(0.1, 100), seed=6)
     dc = rep.estimate("dc", 0)
-    assert dc.insufficient
     assert dc.gamma_hat is None
+    assert dc.half_width is None
 
 
 def test_jfq_jsq_identical_trajectories_at_equal_capacity():
@@ -176,11 +175,6 @@ _DC_HSDPA = scenario_presets("dc-hsdpa")[0]
                     ("sc", 0): ("0x1.6e32a9fbf847dp+1", "0x1.1a17603ebe6a7p-2", 6786),
                     ("sc", 1): ("0x1.3551e494ba160p-2", "0x1.d4b3d974af56fp-6", 6813),
                 },
-                occupancy={
-                    ("m", 0): "0x1.15a6e02922c10p-3", ("m", 1): "0x1.6361c8fb2a0e4p+0",
-                    ("n1", 0): "0x1.030a38003dbd6p-3", ("n1", 1): "0x1.364eb9f2fea69p+0",
-                    ("n2", 0): "0x1.051ee75b97283p-3", ("n2", 1): "0x1.3a3a845ce5419p+0",
-                },
                 trend=("0x1.8f8e7860f2d37p-12", "0x1.6c15037aec889p+1", False),
                 trace=(0, hashlib.sha256(b"[]").hexdigest()),
             ),
@@ -194,10 +188,6 @@ _DC_HSDPA = scenario_presets("dc-hsdpa")[0]
                     ("dc", 0): ("0x1.96390244579fdp+0", "0x1.c57ffaffe670fp-3", 1398),
                     ("sc", 0): ("0x1.a2ffb6ce36fa2p-1", "0x1.7395b093d7ecdp-4", 1483),
                 },
-                occupancy={
-                    ("m", 0): "0x1.093ef2d46508ep-1", ("n1", 0): "0x1.017598ebb4f26p-1",
-                    ("n2", 0): "0x1.002df9accda40p-1",
-                },
                 trend=("-0x1.6523858ab132ep-12", "-0x1.9629ec4f79443p+0", False),
                 trace=(0, hashlib.sha256(b"[]").hexdigest()),
             ),
@@ -210,10 +200,6 @@ _DC_HSDPA = scenario_presets("dc-hsdpa")[0]
                 estimates={
                     ("dc", 0): ("0x1.519eff0603580p+0", "0x1.e341089c420f5p-3", 953),
                     ("sc", 0): ("0x1.7e9861893685dp-1", "0x1.c9673a63cbd01p-4", 1047),
-                },
-                occupancy={
-                    ("m", 0): "0x1.46073bdd8474dp-1", ("n1", 0): "0x1.5871c53107960p-1",
-                    ("n2", 0): "0x1.e546c399c5021p-2",
                 },
                 trend=("0x1.4fe47a54bb48ep-12", "0x1.5210b62c8f1b0p-1", False),
                 trace=(2500, "c5186f77b5d0159e5126a679f37583e80ca33685758f44ac66bb13382abec843"),
@@ -231,8 +217,7 @@ def test_simulate_output_is_pinned(cfg, traffic, policy, stop, collect_trace, ex
     estimates = {key: (est.gamma_hat.hex(), est.half_width.hex(), est.completions)
                  for key, est in rep.estimates.items()}
     assert estimates == expected["estimates"]
-    assert {key: v.hex() for key, v in rep.occupancy.items()} == expected["occupancy"]
-    assert all(type(v) is float for v in rep.occupancy.values())
+    assert type(rep.sim_time) is float
     trend = (rep.trend.slope.hex(), rep.trend.t_stat.hex(), rep.trend.unstable)
     assert trend == expected["trend"]
     assert (len(rep.trace), _trace_digest(rep.trace)) == expected["trace"]
