@@ -15,9 +15,10 @@ known to be "about" a tenth of the center).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
-from .ctmc import solve_model
+from .ctmc import first_lattice_states, solve_model
 from .errors import ConfigError, InfeasibleTargetError
 from .model import (
     AreaSpec,
@@ -30,7 +31,10 @@ from .model import (
 )
 from .sim import Stop, Warmup, simulate
 
-EVALUATORS = ("ctmc", "sim", "approx")
+EVALUATORS = ("auto", "ctmc", "sim", "approx")
+
+#: largest first lattice that ``auto`` solves exactly; the datasets' state budget
+EXACT_MAX_STATES = 250_000
 
 #: load never probed at or beyond this fraction of capacity
 RHO_CEILING = 0.999
@@ -71,6 +75,11 @@ def scenario_presets(name: str) -> tuple[CellConfig, float]:
     return cfg, target
 
 
+def auto_evaluator(cfg: CellConfig, traffic: TrafficMix, policy: Policy = Policy.JFQ) -> str:
+    """``auto``: the exact solver iff its first lattice fits ``EXACT_MAX_STATES``, else sim."""
+    return "ctmc" if first_lattice_states(cfg, traffic, policy) <= EXACT_MAX_STATES else "sim"
+
+
 def reference_theta(name: str, phi: float) -> float | None:
     table = REFERENCE_THETA.get(name)
     if table is None:
@@ -90,6 +99,8 @@ class CapacityQuery:
     or is narrower than the theta tolerance mapped into throughput units.
     The ``approx`` closed form routes SC flows to the fastest carrier, so
     with SC traffic (``phi > 0``) it accepts only ``Policy.JFQ``.
+    ``evaluator="auto"`` resolves once, to :func:`auto_evaluator` at the first
+    probe's load theta = ``RHO_CEILING`` * c_bar / 2, and the query keeps it.
     """
 
     cfg: CellConfig
@@ -104,11 +115,17 @@ class CapacityQuery:
     def __post_init__(self):
         if self.evaluator not in EVALUATORS:
             raise ConfigError(f"evaluator must be one of {EVALUATORS}, got {self.evaluator!r}")
-        if self.target_gamma <= 0:
-            raise ConfigError("target throughput must be > 0")
-        if self.rel_tol <= 0:
-            raise ConfigError("tolerance must be > 0")
+        if not 0.0 <= self.phi <= 1.0:
+            raise ConfigError(f"SC fraction must lie in [0, 1], got {self.phi!r}")
+        if not (math.isfinite(self.target_gamma) and self.target_gamma > 0):
+            raise ConfigError(f"target throughput must be finite and > 0, got {self.target_gamma}")
+        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0):
+            raise ConfigError(f"tolerance must be finite and > 0, got {self.rel_tol!r}")
         policy = Policy(self.policy)
+        if self.evaluator == "auto":
+            theta = 0.5 * RHO_CEILING * harmonic_capacity(self.cfg)
+            traffic = TrafficMix(theta / self.sigma, self.phi, self.sigma)
+            object.__setattr__(self, "evaluator", auto_evaluator(self.cfg, traffic, policy))
         if self.evaluator == "approx" and self.phi > 0 and policy is not Policy.JFQ:
             raise ConfigError(
                 "the approx evaluator models fastest-queue (jfq) routing of SC flows, "
@@ -128,7 +145,8 @@ class CapacityResult:
     achieved_gamma: float
     brackets: tuple[tuple[float, float], ...]
     probes: tuple[Probe, ...]
-    evaluator: str
+    #: the query solved, its evaluator resolved (``auto`` never stays)
+    query: CapacityQuery
     reference: float | None = None
     deviation: float | None = None
     note: str = ""
@@ -214,14 +232,14 @@ def max_sustainable_intensity(query: CapacityQuery) -> CapacityResult:
     if target >= gamma0 * (1.0 - 1e-12):
         return CapacityResult(
             theta_star=0.0, achieved_gamma=gamma0, brackets=((0.0, 0.0),), probes=(),
-            evaluator=query.evaluator,
+            query=query,
             note="target equals the zero-load edge throughput; only an empty cell attains it",
         )
     if query.evaluator == "approx":
         theta = theta_approximation(cfg, phi, target)
         return CapacityResult(
             theta_star=theta, achieved_gamma=target, brackets=((theta, theta),),
-            probes=(Probe(theta=theta, gamma=target),), evaluator="approx",
+            probes=(Probe(theta=theta, gamma=target),), query=query,
         )
 
     c_bar = harmonic_capacity(cfg)
@@ -252,7 +270,7 @@ def max_sustainable_intensity(query: CapacityQuery) -> CapacityResult:
         achieved_gamma=final.gamma,
         brackets=tuple(brackets),
         probes=tuple(probes),
-        evaluator=query.evaluator,
+        query=query,
     )
 
 
@@ -264,16 +282,14 @@ def solve_preset(
     seed: int = 0,
     rel_tol: float = 0.01,
 ) -> CapacityResult:
-    """Capacity inversion for a named preset, with reference comparison.
+    """Capacity inversion for a named preset under JFQ routing, with reference comparison.
 
-    ``evaluator="auto"`` picks the exact solver when one traffic class is
-    absent (the lattice then collapses to a tractable size) and the simulator
-    for genuinely mixed traffic, where a two-area lattice within the blocking
-    target would exceed the state budget.
+    ``evaluator="auto"`` follows :func:`auto_evaluator`, as for any
+    :class:`CapacityQuery`: on the presets that is the exact solver at
+    phi in {0, 1} and the simulator for mixed traffic, whose two-area lattice
+    has six axes.
     """
     cfg, target = scenario_presets(name)
-    if evaluator == "auto":
-        evaluator = "ctmc" if phi in (0.0, 1.0) else "sim"
     query = CapacityQuery(
         cfg=cfg, phi=phi, target_gamma=target, evaluator=evaluator,
         seed=seed, rel_tol=rel_tol,

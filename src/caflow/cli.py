@@ -37,11 +37,11 @@ from pathlib import Path
 import numpy as np
 
 from . import capacity as capacity_mod
+from .capacity import EXACT_MAX_STATES
 from .ctmc import (
     DEFAULT_STATE_BUDGET,
     Truncation,
     build_generator,
-    initial_max_total,
     solve_model,
     solve_stationary,
 )
@@ -71,9 +71,6 @@ from .sim import CI_LEVEL, Stop, Warmup, simulate
 
 WORKERS_ENV = "CAFLOW_WORKERS"
 
-#: state budget for the bundled datasets; larger mixed-traffic points fall
-#: back to the simulator (recorded per row)
-REPRO_MAX_STATES = 250_000
 SIM_FALLBACK_COMPLETIONS = 120_000
 
 FIG_RHO_GRID = tuple(round(0.05 * k, 2) for k in range(1, 20))
@@ -507,7 +504,7 @@ CAPACITY_COLUMNS = [
 
 def _capacity_row(scenario: str, phi: float, result) -> list:
     return [
-        scenario, phi, result.theta_star, result.achieved_gamma, result.evaluator,
+        scenario, phi, result.theta_star, result.achieved_gamma, result.query.evaluator,
         result.reference, result.deviation, result.note,
     ]
 
@@ -523,29 +520,25 @@ def run_capacity(
     tolerance: float = 0.01,
     seed: int = 0,
 ) -> Path:
+    """Capacity of a preset (simulator seed ``seed``) or of ``spec`` (its own seed)."""
     if scenario is not None:
         result = capacity_mod.solve_preset(
             scenario, phi, evaluator=evaluator, seed=seed, rel_tol=tolerance
         )
         label = scenario
-        cfg = capacity_mod.scenario_presets(scenario)[0]
-        policy = Policy.JFQ  # the presets are solved under fastest-queue routing
     else:
         if spec is None or target is None:
             raise ConfigError("capacity needs --scenario or both --config and --target")
-        if evaluator == "auto":
-            evaluator = "ctmc"
         query = capacity_mod.CapacityQuery(
             cfg=spec.cfg, phi=phi, target_gamma=target, evaluator=evaluator,
-            rel_tol=tolerance, sigma=spec.traffic.sigma, seed=seed, policy=spec.policy,
+            rel_tol=tolerance, sigma=spec.traffic.sigma, seed=spec.seed, policy=spec.policy,
         )
         result = capacity_mod.max_sustainable_intensity(query)
         label = "custom"
-        cfg = spec.cfg
-        policy = spec.policy
+    query = result.query
     meta = _meta(
-        "capacity", _config_summary(cfg), policy.value, result.evaluator, "auto", seed,
-        ("theta_tolerance", f"{tolerance:g}"),
+        "capacity", _config_summary(query.cfg), query.policy.value, query.evaluator, "auto",
+        query.seed, ("theta_tolerance", f"{query.rel_tol:g}"),
     )
     return write_csv(
         out_dir / "capacity.csv", meta, CAPACITY_COLUMNS,
@@ -560,22 +553,17 @@ def run_capacity(
 def _gamma_point(cfg, phi, rho, policy, seed, stream):
     """(gamma_sc, gamma_dc, gamma_bar, evaluator) at one (rho, phi) point.
 
-    Prefers the exact solver; falls back to the simulator when the truncated
-    lattice within the blocking target would exceed the state budget, or when
-    the solve within the budget is flagged unreliable (blocking above the
-    reliability gate).
+    Uses the exact solver when :func:`~caflow.capacity.auto_evaluator` picks
+    it for the point's own traffic, and falls back to the simulator when it
+    does not or when the solve within ``EXACT_MAX_STATES`` is flagged
+    unreliable (blocking above the reliability gate).
     """
     lam = rho * harmonic_capacity(cfg)
     traffic = TrafficMix(lam, phi, 1.0)
-    # an explicit first truncation makes an oversized lattice raise instead
-    # of being capped to the budget
-    start = Truncation(max_total=initial_max_total(cfg, traffic, policy))
-    try:
-        report, _ = solve_model(cfg, traffic, policy, start, max_states=REPRO_MAX_STATES)
+    if capacity_mod.auto_evaluator(cfg, traffic, policy) == "ctmc":
+        report, _ = solve_model(cfg, traffic, policy, max_states=EXACT_MAX_STATES)
         if report.diagnostics.reliable:
             return report.gamma_sc(0), report.gamma_dc(0), report.gamma_bar(0), "ctmc"
-    except StateSpaceTooLargeError:
-        pass
     rep = simulate(
         cfg, traffic, policy,
         stop=Stop(completions=SIM_FALLBACK_COMPLETIONS),
@@ -589,7 +577,7 @@ def _gamma_point(cfg, phi, rho, policy, seed, stream):
     return gamma_sc, gamma_dc, mixed_mean_throughput(gamma_sc, gamma_dc, phi), "sim"
 
 
-_REPRO_TRUNCATION = f"auto(budget={REPRO_MAX_STATES} states)"
+_REPRO_TRUNCATION = f"auto(budget={EXACT_MAX_STATES} states)"
 
 
 def _repro_fig2(seed):
@@ -597,7 +585,7 @@ def _repro_fig2(seed):
     rows = []
     for rho in FIG_RHO_GRID:
         traffic = TrafficMix(2.0 * rho, 1.0, 1.0)
-        report, _ = solve_model(cfg, traffic, Policy.JFQ, max_states=REPRO_MAX_STATES)
+        report, _ = solve_model(cfg, traffic, Policy.JFQ, max_states=EXACT_MAX_STATES)
         rows.append([rho, report.gamma_sc(0), 1.0 - rho])
     meta = _meta(
         "fig2", _config_summary(cfg), "jsq", "ctmc", _REPRO_TRUNCATION, seed,
@@ -624,8 +612,8 @@ def _repro_fig4(seed):
     rows = []
     for rho in FIG_RHO_GRID:
         traffic = TrafficMix(3.0 * rho, 1.0, 1.0)
-        jfq, _ = solve_model(cfg, traffic, Policy.JFQ, max_states=REPRO_MAX_STATES)
-        jsq, _ = solve_model(cfg, traffic, Policy.JSQ, max_states=REPRO_MAX_STATES)
+        jfq, _ = solve_model(cfg, traffic, Policy.JFQ, max_states=EXACT_MAX_STATES)
+        jsq, _ = solve_model(cfg, traffic, Policy.JSQ, max_states=EXACT_MAX_STATES)
         rows.append([rho, jfq.gamma_sc(0), jsq.gamma_sc(0), 2.0 * (1.0 - rho)])
     meta = _meta(
         "fig4", _config_summary(cfg), "jfq,jsq", "ctmc", _REPRO_TRUNCATION, seed,
@@ -874,12 +862,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cap.add_argument("--target", type=float, default=None,
                        help="edge mean-throughput target (Mbit/s); presets bundle one")
     p_cap.add_argument("--phi", type=float, required=True)
-    p_cap.add_argument("--evaluator", choices=("auto",) + capacity_mod.EVALUATORS,
+    p_cap.add_argument("--evaluator", choices=capacity_mod.EVALUATORS,
                        default="auto")
     p_cap.add_argument("--tolerance", type=float, default=0.01,
                        help="relative tolerance on theta")
     p_cap.add_argument("--out", default="out")
-    p_cap.add_argument("--seed", type=int, default=0)
+    p_cap.add_argument("--seed", type=int, default=None,
+                       help="simulator seed (default: the config seed, 0 for presets)")
 
     p_repro = sub.add_parser("reproduce", help="emit a bundled study dataset")
     p_repro.add_argument("figure", choices=FIGURES)
@@ -907,6 +896,8 @@ def main(argv=None) -> int:
 
         if args.command == "capacity":
             spec = parse_config(args.config) if args.config else None
+            if spec is not None and args.seed is not None:
+                spec = replace(spec, seed=args.seed)
             path = run_capacity(
                 Path(args.out),
                 scenario=args.scenario,
@@ -915,7 +906,7 @@ def main(argv=None) -> int:
                 target=args.target,
                 evaluator=args.evaluator,
                 tolerance=args.tolerance,
-                seed=args.seed,
+                seed=args.seed or 0,
             )
             print(path)
             return 0

@@ -16,11 +16,11 @@ The truncation is one number, the cap on the total population. Arrivals
 from a state at the cap are dropped (loss model), whatever their class and
 area; the probability mass of dropped arrivals is reported per class and
 doubles as the accuracy gauge for the truncation. :func:`solve_model` sizes
-every cap from one prediction, blocking(N) ~ p rho^N: the first cap takes
-the pooled-queue prefactor p = 1 - rho (or, for coin-flip routing of SC-only
-traffic, the tail of two independent queues), and a cap that misses the
-target measures p and steps straight to the cap it predicts. In the lattice
-that :func:`solve_model` solves, a class with zero arrival rate has no axis.
+every cap from one prediction, blocking(N) ~ p rho^N, within the state
+budget: the first cap takes the pooled-queue prefactor p = 1 - rho (or, for
+coin-flip routing of SC-only traffic, the tail of two independent queues),
+and a cap that misses the target measures p and steps straight to the cap it
+predicts. In its lattice a class with zero arrival rate has no axis.
 """
 
 from __future__ import annotations
@@ -151,6 +151,13 @@ class StateSpace:
         return pos
 
 
+def _free_axes(cfg: CellConfig, traffic: TrafficMix | None) -> np.ndarray:
+    # count components with a lattice axis: those of the classes with arrivals
+    sc = traffic is None or traffic.alpha > 0
+    dc = traffic is None or traffic.beta > 0
+    return np.flatnonzero([sc, sc, dc] * cfg.n_areas)
+
+
 def enumerate_states(
     cfg: CellConfig,
     trunc: Truncation,
@@ -167,9 +174,7 @@ def enumerate_states(
     keys would reach 2**62 and not fit an int64.
     """
     n_total = trunc.max_total
-    sc = traffic is None or traffic.alpha > 0
-    dc = traffic is None or traffic.beta > 0
-    free = np.flatnonzero([sc, sc, dc] * cfg.n_areas)
+    free = _free_axes(cfg, traffic)
     expected = _lattice_size(len(free), n_total)
     if expected > max_states:
         fits = _suggest_max_total(len(free), n_total, max_states)
@@ -181,9 +186,9 @@ def enumerate_states(
     keys = (n_total + 1) ** len(free)
     if keys >= _INT64_HEADROOM:
         raise ConfigError(
-            f"a {cfg.n_areas}-area lattice with max_total={n_total} has {keys} "
-            "candidate keys, at or above the 2**62 limit of the state index; "
-            "lower max_total"
+            f"too many areas for the exact lattice index: {cfg.n_areas} areas with "
+            f"{len(free)} count axes at max_total={n_total} give {keys} candidate "
+            "keys, at or above its 2**62 limit; use 'caflow simulate' for this cell"
         )
 
     # grow the free axes one at a time; rows stay in lexicographic order
@@ -554,52 +559,44 @@ def initial_max_total(
     return n_total
 
 
+def first_lattice_states(cfg: CellConfig, traffic: TrafficMix, policy: Policy = Policy.JFQ) -> int:
+    """States in the lattice at :func:`initial_max_total`, before any budget cap."""
+    return _lattice_size(len(_free_axes(cfg, traffic)), initial_max_total(cfg, traffic, policy))
+
+
 def solve_model(
     cfg: CellConfig,
     traffic: TrafficMix,
     policy: Policy = Policy.JFQ,
-    trunc: Truncation | None = None,
     *,
     target_blocking: float = DEFAULT_TARGET_BLOCKING,
     max_states: int = DEFAULT_STATE_BUDGET,
 ) -> tuple[ThroughputReport, StationaryDistribution]:
     """Solve the model end to end, growing the truncation until it is tight.
 
-    Starts from ``trunc`` (or :func:`initial_max_total`, capped at the largest
-    ``max_total`` that fits ``max_states``). While any blocking mass b at cap
+    Every cap is at most the largest one whose lattice fits ``max_states``.
+    The first is :func:`initial_max_total`. While any blocking mass b at cap
     N exceeds ``target_blocking`` (at most ``_MAX_GROW`` times), the next cap
     extrapolates the measured tail b rho^(k - N) to half of the target; at
-    rho >= 1 it doubles N instead. A next lattice above ``max_states`` is
-    replaced by the largest cap that fits, if that is above N, and solved as
-    the last step (the result is flagged unreliable in the diagnostics if
-    blocking is above the reliability gate). An explicit ``trunc`` whose
-    first space exceeds ``max_states`` raises :class:`StateSpaceTooLargeError`.
-    Classes with zero arrival rate get no lattice axis, which leaves the
-    stationary law unchanged. Every solve is one :func:`solve_stationary`
-    call, held to ``SOLVE_TOL``.
+    rho >= 1 it doubles N instead. A solve at the largest cap that fits is
+    the last one, and its result is flagged unreliable in the diagnostics if
+    blocking is above the reliability gate. Raises
+    :class:`StateSpaceTooLargeError` only when not even cap 1 fits. Classes
+    with zero arrival rate get no lattice axis, which leaves the stationary
+    law unchanged. Every solve is one :func:`solve_stationary` call, held to
+    ``SOLVE_TOL``.
     """
     rho = offered_load(cfg, traffic).rho
-    n_total = (
-        trunc.max_total if trunc
-        else initial_max_total(cfg, traffic, policy, target_blocking)
-    )
-    result, grew, last = None, -1, False
-    while True:
-        try:
-            space = enumerate_states(cfg, Truncation(n_total), max_states, traffic=traffic)
-        except StateSpaceTooLargeError as exc:
-            fits = exc.suggested_max_total
-            if result is None and (trunc is not None or fits is None):
-                raise
-            if result is not None and fits <= result.space.truncation.max_total:
-                break
-            n_total, last = fits, True
-            continue
-        gen = build_generator(cfg, traffic, space, policy)
-        result = solve_stationary(gen)
-        grew += 1
+    limit = _suggest_max_total(len(_free_axes(cfg, traffic)), max_states, max_states)
+    if limit is None:
+        raise StateSpaceTooLargeError(f"not even max_total=1 fits {max_states} states")
+    n_total = min(initial_max_total(cfg, traffic, policy, target_blocking), limit)
+    for grew in range(_MAX_GROW + 1):
+        space = enumerate_states(cfg, Truncation(n_total), max_states, traffic=traffic)
+        result = solve_stationary(build_generator(cfg, traffic, space, policy))
         blocking = max(result.blocking.values())
-        if last or blocking <= target_blocking or grew >= _MAX_GROW:
+        if n_total == limit or blocking <= target_blocking:
             break
-        n_total += _caps_to_target(blocking, rho, target_blocking) if rho < 1.0 else n_total
+        step = _caps_to_target(blocking, rho, target_blocking) if rho < 1.0 else n_total
+        n_total = min(n_total + step, limit)
     return throughputs_from_distribution(result, _diagnostics(result, grew)), result

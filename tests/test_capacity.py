@@ -3,7 +3,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from caflow.capacity import (
+    PRESET_PHI_GRID,
+    RHO_CEILING,
     CapacityQuery,
+    auto_evaluator,
     max_sustainable_intensity,
     reference_theta,
     scenario_presets,
@@ -11,7 +14,7 @@ from caflow.capacity import (
     zero_load_edge_throughput,
 )
 from caflow.errors import ConfigError, InfeasibleTargetError
-from caflow.model import CellConfig, theta_approximation
+from caflow.model import AreaSpec, CellConfig, TrafficMix, harmonic_capacity, theta_approximation
 
 
 def test_presets_match_documented_capacities():
@@ -173,3 +176,58 @@ def test_query_validation():
         CapacityQuery(cfg=cfg, phi=0.5, target_gamma=1.0, evaluator="magic")
     with pytest.raises(ConfigError):
         CapacityQuery(cfg=cfg, phi=0.5, target_gamma=-1.0)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"phi": 1.5}, "SC fraction must lie in [0, 1]"),
+        ({"phi": -0.1}, "SC fraction must lie in [0, 1]"),
+        ({"phi": float("nan")}, "SC fraction must lie in [0, 1]"),
+        ({"target_gamma": float("nan")}, "target throughput must be finite"),
+        ({"target_gamma": float("inf")}, "target throughput must be finite"),
+        ({"rel_tol": float("nan")}, "tolerance must be finite"),
+        ({"rel_tol": float("inf")}, "tolerance must be finite"),
+        ({"rel_tol": 0.0}, "tolerance must be finite and > 0"),
+    ],
+)
+def test_query_rejects_outside_input(change, message):
+    fields = {"cfg": CellConfig.single_area(1, 1), "phi": 0.5, "target_gamma": 1.0,
+              "evaluator": "sim", **change}
+    with pytest.raises(ConfigError) as err:
+        CapacityQuery(**fields)
+    assert message in str(err.value)
+
+
+def _first_probe_traffic(cfg, phi):
+    return TrafficMix(0.5 * RHO_CEILING * harmonic_capacity(cfg), phi, 1.0)
+
+
+def test_auto_picks_the_solver_for_sc_only_presets_and_the_simulator_for_mixed():
+    # at the first probe's load a mixed two-area cell has a six-axis first
+    # lattice (1,107,568 states) and an SC-only one four axes (31,465 states)
+    picked = {}
+    for name in ("db-hsdpa", "dc-hsdpa", "lte"):
+        cfg, target = scenario_presets(name)
+        for phi in PRESET_PHI_GRID:
+            picked[name, phi] = auto_evaluator(cfg, _first_probe_traffic(cfg, phi))
+            query = CapacityQuery(cfg=cfg, phi=phi, target_gamma=target, evaluator="auto")
+            assert query.evaluator == picked[name, phi]
+    assert {key for key, value in picked.items() if value == "ctmc"} == {
+        (name, 1.0) for name in ("db-hsdpa", "dc-hsdpa", "lte")
+    }
+
+
+def test_auto_on_a_mixed_two_area_config_is_the_simulator():
+    # README's example cell: a two-area mixed cell at phi = 0.5
+    cfg = CellConfig(areas=(AreaSpec(10, 14, 0.5), AreaSpec(1, "1.4", 0.5)))
+    assert auto_evaluator(cfg, _first_probe_traffic(cfg, 0.5)) == "sim"
+    single = CellConfig.single_area(1, 2)
+    assert auto_evaluator(single, _first_probe_traffic(single, 0.5)) == "ctmc"
+
+
+def test_result_carries_the_resolved_query():
+    cfg, target = scenario_presets("dc-hsdpa")
+    result = solve_preset("dc-hsdpa", 1.0)
+    assert result.query.evaluator == "ctmc"
+    assert (result.query.cfg, result.query.target_gamma) == (cfg, target)

@@ -248,15 +248,22 @@ def test_main_sweep_orders_rows(tmp_path):
 
 
 def test_sweep_parallel_matches_serial(tmp_path, monkeypatch):
-    cfg = write_cfg(tmp_path, MINIMAL)
+    cfg = write_cfg(tmp_path, MINIMAL.replace("areas.1.c2 = 1", "areas.1.c2 = 2"))
+    grid = ["--rhos", "0.3,0.6", "--phis", "0,0.5,1"]
     monkeypatch.setenv(cli.WORKERS_ENV, "2")
-    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "par"),
-                 "--rhos", "0.3", "--phis", "0,0.5"]) == 0
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "par"), *grid]) == 0
     monkeypatch.setenv(cli.WORKERS_ENV, "1")
-    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "ser"),
-                 "--rhos", "0.3", "--phis", "0,0.5"]) == 0
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "ser"), *grid]) == 0
     assert (tmp_path / "par" / "sweep.csv").read_bytes() == \
         (tmp_path / "ser" / "sweep.csv").read_bytes()
+
+
+@pytest.mark.parametrize("value, workers", [("3", 3), ("0", 1), ("two", 1), ("1.5", 1)])
+def test_resolve_workers_reads_a_positive_integer_or_falls_back_to_one(
+    monkeypatch, value, workers
+):
+    monkeypatch.setenv(cli.WORKERS_ENV, value)
+    assert cli.resolve_workers() == workers
 
 
 def test_sweep_grid_validation():
@@ -322,6 +329,54 @@ def test_main_capacity_approx_needs_fastest_queue_routing(tmp_path, capsys):
     assert "got policy jsq" in err
     assert not (tmp_path / "capacity.csv").exists()
     assert main(argv + ["--phi", "0"]) == 0
+
+
+def test_main_capacity_config_seed_is_the_default_and_seed_overrides_it(tmp_path):
+    cfg = str(write_cfg(tmp_path, MINIMAL + "seed = 7\n"))
+    argv = ["capacity", "--config", cfg, "--phi", "0", "--target", "1",
+            "--evaluator", "approx"]
+    assert main(argv + ["--out", str(tmp_path / "own")]) == 0
+    assert "# seed=7" in (tmp_path / "own" / "capacity.csv").read_text().splitlines()
+    assert main(argv + ["--seed", "3", "--out", str(tmp_path / "flag")]) == 0
+    assert "# seed=3" in (tmp_path / "flag" / "capacity.csv").read_text().splitlines()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--target", "nan"], "target throughput must be finite"),
+        (["--target", "1", "--tolerance", "nan"], "tolerance must be finite"),
+        (["--target", "1", "--tolerance", "0"], "tolerance must be finite and > 0"),
+        (["--target", "1", "--phi", "1.5"], "SC fraction must lie in [0, 1]"),
+    ],
+)
+def test_main_capacity_rejects_outside_input(tmp_path, capsys, flags, message):
+    cfg = write_cfg(tmp_path, MINIMAL)
+    argv = ["capacity", "--config", str(cfg), "--phi", "0.5", *flags, "--out", str(tmp_path)]
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "capacity.csv").exists()
+
+
+def test_main_capacity_preset_rejects_a_fraction_above_one(tmp_path, capsys):
+    argv = ["capacity", "--scenario", "dc-hsdpa", "--phi", "1.5", "--out", str(tmp_path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "SC fraction must lie in [0, 1]" in err
+    assert "zero-load" not in err
+
+
+def test_main_solve_on_too_many_areas_points_to_simulate(tmp_path, capsys):
+    # seven mixed areas need 21 lattice axes, past the int64 state index
+    text = "".join(
+        f"areas.{j}.c1 = 1\nareas.{j}.c2 = 1\nareas.{j}.q = {0.25 if j == 1 else 0.125}\n"
+        for j in range(1, 8)
+    ) + "traffic.lambda = 1.0\ntraffic.phi = 0.5\ntraffic.sigma = 1\n"
+    cfg = write_cfg(tmp_path, text)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "too many areas for the exact lattice index" in err
+    assert "caflow simulate" in err
 
 
 def test_every_dataset_starts_with_the_six_headers(tmp_path, monkeypatch):
