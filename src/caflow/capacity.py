@@ -29,7 +29,8 @@ from .model import (
     mixed_mean_throughput,
     theta_approximation,
 )
-from .sim import Stop, Warmup, simulate
+from .sim import Stop, Trajectory, Warmup
+from .sim import simulate  # noqa: F401  perfbench's tracer wraps it here by name
 
 EVALUATORS = ("auto", "ctmc", "sim", "approx")
 
@@ -39,8 +40,9 @@ EXACT_MAX_STATES = 250_000
 #: load never probed at or beyond this fraction of capacity
 RHO_CEILING = 0.999
 
-#: completions of a simulator probe's first run, and how often a probe may
-#: double them while its interval straddles the target and is too wide
+#: completions of a simulator probe's first round, and how often a probe may
+#: double them while its interval straddles the target and is too wide; each
+#: doubling extends the probe's one trajectory rather than starting another
 SIM_COMPLETIONS = 30_000
 SIM_MAX_DOUBLINGS = 3
 
@@ -96,7 +98,9 @@ class CapacityQuery:
 
     ``rel_tol`` bounds the final bracket width relative to theta. Simulator
     probes are sized so their confidence interval either excludes the target
-    or is narrower than the theta tolerance mapped into throughput units.
+    or is narrower than the theta tolerance mapped into throughput units:
+    probe k follows one trajectory on stream ``1_000 * k`` and doubles its
+    completions along it until the interval does.
     The ``approx`` closed form routes SC flows to the fastest carrier, so
     with SC traffic (``phi > 0``) it accepts only ``Policy.JFQ``.
     ``evaluator="auto"`` resolves once, to :func:`auto_evaluator` at the first
@@ -181,19 +185,12 @@ def _make_evaluator(query: CapacityQuery, gamma_tol: float):
 
     def probe_sim(theta: float, probe_id: int) -> Probe:
         traffic = TrafficMix(theta / query.sigma, phi, query.sigma)
+        run = Trajectory(cfg, traffic, query.policy, query.seed, stream=1_000 * probe_id)
         completions = SIM_COMPLETIONS
         gamma = None
-        for round_ in range(SIM_MAX_DOUBLINGS + 1):
-            rep = simulate(
-                cfg,
-                traffic,
-                query.policy,
-                stop=Stop(completions=completions),
-                warmup=Warmup(0.2, min(10_000, completions // 4)),
-                seed=query.seed,
-                stream=1_000 * probe_id + round_,
-                n_batches=10,
-                min_group=100,
+        for _ in range(SIM_MAX_DOUBLINGS + 1):
+            rep = run.advance(Stop(completions=completions)).report(
+                Warmup(0.2, min(10_000, completions // 4)), n_batches=10, min_group=100
             )
             sc, dc = (rep.estimates.get((kind, area)) for kind in ("sc", "dc"))
             gamma = mixed_mean_throughput(sc and sc.gamma_hat, dc and dc.gamma_hat, phi)

@@ -52,6 +52,7 @@ from .errors import (
     DegenerateSolveError,
     InfeasibleTargetError,
     StateSpaceTooLargeError,
+    UnstableSystemError,
 )
 from .model import (
     AreaSpec,
@@ -940,6 +941,9 @@ def main(argv=None) -> int:
     except (ConfigError, InfeasibleTargetError) as exc:
         print(str(exc), file=sys.stderr)
         return 1
+    except UnstableSystemError as exc:
+        print(f"{exc}; `caflow simulate` samples an overloaded cell", file=sys.stderr)
+        return 2
     except (StateSpaceTooLargeError, ConvergenceError, DegenerateSolveError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

@@ -38,6 +38,7 @@ from .errors import (
     ConvergenceError,
     DegenerateSolveError,
     StateSpaceTooLargeError,
+    UnstableSystemError,
 )
 from .model import (
     CellConfig,
@@ -577,16 +578,21 @@ def solve_model(
     Every cap is at most the largest one whose lattice fits ``max_states``.
     The first is :func:`initial_max_total`. While any blocking mass b at cap
     N exceeds ``target_blocking`` (at most ``_MAX_GROW`` times), the next cap
-    extrapolates the measured tail b rho^(k - N) to half of the target; at
-    rho >= 1 it doubles N instead. A solve at the largest cap that fits is
-    the last one, and its result is flagged unreliable in the diagnostics if
-    blocking is above the reliability gate. Raises
-    :class:`StateSpaceTooLargeError` only when not even cap 1 fits. Classes
+    extrapolates the measured tail b rho^(k - N) to half of the target. A
+    solve at the largest cap that fits is the last one, and its result is
+    flagged unreliable in the diagnostics if blocking is above the
+    reliability gate. Raises :class:`UnstableSystemError` at rho >= 1, where
+    blocking at any cap is at least 1 - 1/rho, before enumerating anything,
+    and :class:`StateSpaceTooLargeError` only when not even cap 1 fits. Classes
     with zero arrival rate get no lattice axis, which leaves the stationary
     law unchanged. Every solve is one :func:`solve_stationary` call, held to
     ``SOLVE_TOL``.
     """
     rho = offered_load(cfg, traffic).rho
+    if rho >= 1.0:
+        raise UnstableSystemError(
+            f"offered load rho = {rho:.6g} >= 1: the cell has no stationary regime to solve"
+        )
     limit = _suggest_max_total(len(_free_axes(cfg, traffic)), max_states, max_states)
     if limit is None:
         raise StateSpaceTooLargeError(f"not even max_total=1 fits {max_states} states")
@@ -597,6 +603,5 @@ def solve_model(
         blocking = max(result.blocking.values())
         if n_total == limit or blocking <= target_blocking:
             break
-        step = _caps_to_target(blocking, rho, target_blocking) if rho < 1.0 else n_total
-        n_total = min(n_total + step, limit)
+        n_total = min(n_total + _caps_to_target(blocking, rho, target_blocking), limit)
     return throughputs_from_distribution(result, _diagnostics(result, grew)), result

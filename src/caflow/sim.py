@@ -8,6 +8,11 @@ apply it. A DC flow is one customer served at the aggregate rate of both
 carriers (volume balancing completes it on both carriers simultaneously), so
 no per-carrier residual bookkeeping is needed.
 
+The event loop is resumable: a :class:`Trajectory` is advanced from stop to
+stop and reports on everything simulated so far, so a longer run extends a
+shorter one instead of repeating it. :func:`simulate` is one trajectory
+advanced once.
+
 Per-flow sojourns are recovered from the count process: in a symmetric
 (processor-sharing) queue every customer of a class is exchangeable, so the
 departing customer is chosen uniformly among those present in its class and
@@ -144,20 +149,158 @@ def simulate(
     min_group: int = MIN_GROUP_COMPLETIONS,
     collect_trace: int = 0,
 ) -> SimReport:
-    """Sample one trajectory of the occupancy Markov process.
+    """Sample one trajectory of the occupancy Markov process and report on it.
 
-    The result is a deterministic function of all arguments; ``(seed,
-    stream)`` select an independent random stream per replication. Draws
-    come from two blocks of ``_BLOCK`` values, exponentials then uniforms,
-    each refilled from the generator only when used up. One exponential is
-    taken for each holding time and each arrival's volume; one uniform for
-    each event choice, each departure's victim, and each Bernoulli arrival
-    or routing tie. Changing this order changes every answer.
+    This is a :class:`Trajectory` advanced once, to ``stop``. The result is
+    a deterministic function of all arguments; ``(seed, stream)`` select an
+    independent random stream per replication.
     """
-    routing = Policy(policy)
+    run = Trajectory(cfg, traffic, policy, seed, stream, collect_trace=collect_trace)
+    return run.advance(stop).report(warmup, n_batches=n_batches, min_group=min_group)
+
+
+class Trajectory:
+    """One sample path of the occupancy process, advanced in steps.
+
+    Each :meth:`advance` continues the path from where the previous one
+    stopped, so advancing to k completions and then to 2k gives exactly the
+    path, and the :meth:`report`, of one :func:`simulate` run to 2k on the
+    same ``(seed, stream)``. A horizon stop leaves the next holding time
+    undrawn, so a path resumed after one is the same path too. ``sim_time``,
+    ``events`` and ``completions`` say how far the path has run.
+
+    Draws come from two blocks of ``_BLOCK`` values, exponentials then
+    uniforms, each refilled from the generator only when used up. One
+    exponential is taken for each holding time and each arrival's volume;
+    one uniform for each event choice, each departure's victim, and each
+    Bernoulli arrival or routing tie. Changing this order changes every
+    answer.
+    """
+
+    def __init__(
+        self,
+        cfg: CellConfig,
+        traffic: TrafficMix,
+        policy: Policy = Policy.JFQ,
+        seed: int = 0,
+        stream: int = 0,
+        *,
+        collect_trace: int = 0,
+    ):
+        self.cfg = cfg
+        self.traffic = traffic
+        self.sim_time = 0.0
+        self.events = 0
+        self.completions = 0
+        # per (slot, area): arrival times of the flows in service
+        self._in_service: list[list[list[float]]] = [
+            [[] for _ in range(cfg.n_areas)] for _ in range(3)
+        ]
+        # per completion: kind (0 SC, 1 DC), area, volume, arrival and
+        # completion times
+        self._done = (array("b"), array("b"), array("d"), array("d"), array("d"))
+        self._trace: list[TraceEvent] = []
+        self._loop = _event_loop(
+            cfg, traffic, Policy(policy), seed, stream, collect_trace,
+            self._in_service, self._done, self._trace,
+        )
+        next(self._loop)
+
+    def advance(self, stop: Stop) -> Trajectory:
+        """Continue the path until ``stop``; returns the trajectory itself."""
+        if stop.horizon is not None and stop.horizon < self.sim_time:
+            raise ConfigError(
+                f"horizon {stop.horizon!r} lies before the path's time {self.sim_time!r}"
+            )
+        self.sim_time, self.events, self.completions = self._loop.send(stop)
+        return self
+
+    def report(
+        self,
+        warmup: Warmup = Warmup(),
+        *,
+        n_batches: int = 20,
+        min_group: int = MIN_GROUP_COMPLETIONS,
+    ) -> SimReport:
+        """Estimates over the path so far.
+
+        The numpy views of the completion buffers live only inside this call:
+        a view still alive at the next :meth:`advance` would make the
+        buffers' growth raise ``BufferError``. The report holds scalars only.
+        """
+        end_time, completions = self.sim_time, self.completions
+        done_kind, done_area, done_vol, done_arr, done_at = self._done
+        arrs = np.frombuffer(done_arr, dtype=np.float64)
+        dones = np.frombuffer(done_at, dtype=np.float64)  # ascending
+
+        # instability: least-squares slope of the population at evenly spaced
+        # times, each read off the flow times as arrivals minus completions so far
+        if end_time > 0:
+            grid = np.linspace(0.0, end_time, TREND_SAMPLES)
+            in_service = [at for slot in self._in_service for group in slot for at in group]
+            arrived = np.sort(np.append(arrs, in_service))
+            pops = np.searchsorted(arrived, grid, side="right") - np.searchsorted(
+                dones, grid, side="right"
+            )
+            trend = _ols_trend(grid, pops.astype(np.float64))
+        else:
+            trend = TrendStats(0.0, 0.0, False)
+
+        # warmup cut: the later of the fractional-time rule and the k-th completion
+        warmup_time = warmup.fraction * end_time
+        if completions > warmup.min_completions:
+            warmup_time = max(warmup_time, done_at[warmup.min_completions - 1])
+
+        kinds = np.frombuffer(done_kind, dtype=np.int8)
+        areas_arr = np.frombuffer(done_area, dtype=np.int8)
+        vols = np.frombuffer(done_vol, dtype=np.float64)
+        kept = dones > warmup_time
+
+        traffic = self.traffic
+        estimates: dict[tuple[str, int], ClassEstimate] = {}
+        for kind_code, kind in ((0, "sc"), (1, "dc")):
+            rate = traffic.alpha if kind == "sc" else traffic.beta
+            if rate <= 0:
+                continue
+            for j in range(self.cfg.n_areas):
+                sel = kept & (kinds == kind_code) & (areas_arr == j)
+                count = int(sel.sum())
+                if count < max(min_group, 2 * n_batches):
+                    estimates[(kind, j)] = ClassEstimate(
+                        gamma_hat=None, half_width=None, completions=count
+                    )
+                    continue
+                v = vols[sel]
+                s = dones[sel] - arrs[sel]
+                gamma = float(v.sum() / s.sum())
+                half = _ratio_batch_half_width(v, s, n_batches)
+                estimates[(kind, j)] = ClassEstimate(
+                    gamma_hat=gamma, half_width=half, completions=count
+                )
+
+        return SimReport(
+            sim_time=end_time,
+            events=self.events,
+            total_completions=completions,
+            estimates=estimates,
+            trend=trend,
+            trace=tuple(self._trace),
+        )
+
+
+def _event_loop(cfg, traffic, routing, seed, stream, collect_trace, reg_t, done, trace):
+    """The event loop of a :class:`Trajectory`, as a generator.
+
+    Each ``send(stop)`` runs the path to ``stop`` and yields (end time,
+    events, completions); the loop's state stays in the generator's locals
+    between sends. Completions go to the ``done`` buffers, the arrival times
+    of flows in service to ``reg_t``, and up to ``collect_trace`` events to
+    ``trace``.
+    """
     n_areas = cfg.n_areas
+    areas = cfg.areas
     sigma = float(traffic.sigma)
-    caps = [(a.c1, a.c2) for a in cfg.areas]
+    caps = [(a.c1, a.c2) for a in areas]
     # arrival rates never change: alpha_j, beta_j per area, then their total;
     # Python floats keep numpy scalars out of the per-event arithmetic
     rates: list[float] = []
@@ -176,167 +319,108 @@ def simulate(
 
     counts = [[0, 0, 0] for _ in range(n_areas)]  # per area: [n1j, n2j, mj]
     totals = [0, 0, 0]  # cell-wide n1, n2, m
-    # per (slot, area): arrival times and sampled volumes of active flows
-    reg_t: list[list[list[float]]] = [[[] for _ in range(n_areas)] for _ in range(3)]
+    # per (slot, area): sampled volumes of active flows, aligned with reg_t
     reg_v: list[list[list[float]]] = [[[] for _ in range(n_areas)] for _ in range(3)]
+    done_kind, done_area, done_vol, done_arr, done_at = done
 
-    done_kind = array("b")
-    done_area = array("b")
-    done_vol = array("d")
-    done_arr = array("d")
-    done_at = array("d")
-
-    trace: list[TraceEvent] = []
-
-    t = 0.0
+    t = end = 0.0
     events = 0
     completions = 0
-    horizon = stop.horizon
-    target = stop.completions
+    while True:
+        stop = yield end, events, completions
+        horizon = stop.horizon
+        target = stop.completions
+        end = None
 
-    while target is None or completions < target:
-        n1, n2, m = totals
-        k1 = n1 + m
-        k2 = n2 + m
-        total_rate = arrival_total
-        i = n_arrival
-        for (n1j, n2j, mj), (c1, c2) in zip(counts, caps):
-            r1 = n1j * c1 / (k1 * sigma) if n1j else 0.0
-            r2 = n2j * c2 / (k2 * sigma) if n2j else 0.0
-            r3 = mj * (c1 / k1 + c2 / k2) / sigma if mj else 0.0
-            rates[i] = r1
-            rates[i + 1] = r2
-            rates[i + 2] = r3
-            i += 3
-            total_rate += r1 + r2 + r3
-        if total_rate > 0.0:
-            if ei == _BLOCK:
-                exps, ei = rng.standard_exponential(_BLOCK).tolist(), 0
-            dt = exps[ei] / total_rate
-            ei += 1
-        elif horizon is None:
-            break
-        else:
-            dt = math.inf  # no event can occur: the state holds until the horizon
-        if horizon is not None and t + dt >= horizon:
-            t = horizon
-            break
-        t += dt
-        events += 1
-
-        if ui == _BLOCK:
-            unis, ui = rng.random(_BLOCK).tolist(), 0
-        u = unis[ui] * total_rate
-        ui += 1
-        chosen = 0
-        for chosen, r in enumerate(rates):
-            if u < r:
+        while target is None or completions < target:
+            n1, n2, m = totals
+            k1 = n1 + m
+            k2 = n2 + m
+            total_rate = arrival_total
+            i = n_arrival
+            for (n1j, n2j, mj), (c1, c2) in zip(counts, caps):
+                r1 = n1j * c1 / (k1 * sigma) if n1j else 0.0
+                r2 = n2j * c2 / (k2 * sigma) if n2j else 0.0
+                r3 = mj * (c1 / k1 + c2 / k2) / sigma if mj else 0.0
+                rates[i] = r1
+                rates[i + 1] = r2
+                rates[i + 2] = r3
+                i += 3
+                total_rate += r1 + r2 + r3
+            if total_rate > 0.0:
+                if ei == _BLOCK:
+                    exps, ei = rng.standard_exponential(_BLOCK).tolist(), 0
+                dt = exps[ei] / total_rate
+            elif horizon is None:
                 break
-            u -= r
-        while rates[chosen] <= 0.0:  # guard against roundoff walking past the end
-            chosen -= 1
-        arrival = chosen < n_arrival
-        if arrival:
-            j, is_dc = divmod(chosen, 2)
-            if is_dc:
-                slot = 2
             else:
-                share = sc_carrier1_share(routing, cfg.areas[j], n1, n2, m)
-                if routing is Policy.BERNOULLI or share == 0.5:
-                    if ui == _BLOCK:
-                        unis, ui = rng.random(_BLOCK).tolist(), 0
-                    slot = 0 if unis[ui] < share else 1
-                    ui += 1
-                else:
-                    slot = 0 if share else 1
-            if ei == _BLOCK:
-                exps, ei = rng.standard_exponential(_BLOCK).tolist(), 0
-            reg_t[slot][j].append(t)
-            reg_v[slot][j].append(exps[ei] * sigma)
+                dt = math.inf  # no event can occur: the state holds until the horizon
+            if horizon is not None and t + dt >= horizon:
+                end = horizon  # the holding time stays undrawn: a later stop redraws it
+                break
             ei += 1
-            counts[j][slot] += 1
-            totals[slot] += 1
-        else:
-            j, slot = divmod(chosen - n_arrival, 3)
-            group_t = reg_t[slot][j]
-            group_v = reg_v[slot][j]
+            t += dt
+            events += 1
+
             if ui == _BLOCK:
                 unis, ui = rng.random(_BLOCK).tolist(), 0
-            victim = int(unis[ui] * len(group_t))
+            u = unis[ui] * total_rate
             ui += 1
-            done_arr.append(group_t[victim])
-            done_vol.append(group_v[victim])
-            group_t[victim] = group_t[-1]
-            group_v[victim] = group_v[-1]
-            group_t.pop()
-            group_v.pop()
-            counts[j][slot] -= 1
-            totals[slot] -= 1
-            done_kind.append(0 if slot < 2 else 1)
-            done_area.append(j)
-            done_at.append(t)
-            completions += 1
-        if collect_trace and len(trace) < collect_trace:
-            label = f"T{slot + 1 if arrival else slot + 4}"
-            state = tuple(v for area in counts for v in area)
-            trace.append(TraceEvent(time=t, label=label, area=j, state_after=state))
+            chosen = 0
+            for chosen, r in enumerate(rates):
+                if u < r:
+                    break
+                u -= r
+            while rates[chosen] <= 0.0:  # guard against roundoff walking past the end
+                chosen -= 1
+            arrival = chosen < n_arrival
+            if arrival:
+                j, is_dc = divmod(chosen, 2)
+                if is_dc:
+                    slot = 2
+                else:
+                    share = sc_carrier1_share(routing, areas[j], n1, n2, m)
+                    if routing is Policy.BERNOULLI or share == 0.5:
+                        if ui == _BLOCK:
+                            unis, ui = rng.random(_BLOCK).tolist(), 0
+                        slot = 0 if unis[ui] < share else 1
+                        ui += 1
+                    else:
+                        slot = 0 if share else 1
+                if ei == _BLOCK:
+                    exps, ei = rng.standard_exponential(_BLOCK).tolist(), 0
+                reg_t[slot][j].append(t)
+                reg_v[slot][j].append(exps[ei] * sigma)
+                ei += 1
+                counts[j][slot] += 1
+                totals[slot] += 1
+            else:
+                j, slot = divmod(chosen - n_arrival, 3)
+                group_t = reg_t[slot][j]
+                group_v = reg_v[slot][j]
+                if ui == _BLOCK:
+                    unis, ui = rng.random(_BLOCK).tolist(), 0
+                victim = int(unis[ui] * len(group_t))
+                ui += 1
+                done_arr.append(group_t[victim])
+                done_vol.append(group_v[victim])
+                group_t[victim] = group_t[-1]
+                group_v[victim] = group_v[-1]
+                group_t.pop()
+                group_v.pop()
+                counts[j][slot] -= 1
+                totals[slot] -= 1
+                done_kind.append(0 if slot < 2 else 1)
+                done_area.append(j)
+                done_at.append(t)
+                completions += 1
+            if collect_trace and len(trace) < collect_trace:
+                label = f"T{slot + 1 if arrival else slot + 4}"
+                state = tuple(v for area in counts for v in area)
+                trace.append(TraceEvent(time=t, label=label, area=j, state_after=state))
 
-    end_time = t
-    arrs = np.frombuffer(done_arr, dtype=np.float64)
-    dones = np.frombuffer(done_at, dtype=np.float64)  # ascending
-
-    # instability: least-squares slope of the population at evenly spaced
-    # times, each read off the flow times as arrivals minus completions so far
-    if end_time > 0:
-        grid = np.linspace(0.0, end_time, TREND_SAMPLES)
-        in_service = [at for slot in reg_t for group in slot for at in group]
-        arrived = np.sort(np.append(arrs, in_service))
-        pops = np.searchsorted(arrived, grid, side="right") - np.searchsorted(
-            dones, grid, side="right"
-        )
-        trend = _ols_trend(grid, pops.astype(np.float64))
-    else:
-        trend = TrendStats(0.0, 0.0, False)
-
-    # warmup cut: the later of the fractional-time rule and the k-th completion
-    warmup_time = warmup.fraction * end_time
-    if completions > warmup.min_completions:
-        warmup_time = max(warmup_time, done_at[warmup.min_completions - 1])
-
-    kinds = np.frombuffer(done_kind, dtype=np.int8)
-    areas_arr = np.frombuffer(done_area, dtype=np.int8)
-    vols = np.frombuffer(done_vol, dtype=np.float64)
-    kept = dones > warmup_time
-
-    estimates: dict[tuple[str, int], ClassEstimate] = {}
-    for kind_code, kind in ((0, "sc"), (1, "dc")):
-        rate = traffic.alpha if kind == "sc" else traffic.beta
-        if rate <= 0:
-            continue
-        for j in range(n_areas):
-            sel = kept & (kinds == kind_code) & (areas_arr == j)
-            count = int(sel.sum())
-            if count < max(min_group, 2 * n_batches):
-                estimates[(kind, j)] = ClassEstimate(
-                    gamma_hat=None, half_width=None, completions=count
-                )
-                continue
-            v = vols[sel]
-            s = dones[sel] - arrs[sel]
-            gamma = float(v.sum() / s.sum())
-            half = _ratio_batch_half_width(v, s, n_batches)
-            estimates[(kind, j)] = ClassEstimate(
-                gamma_hat=gamma, half_width=half, completions=count
-            )
-
-    return SimReport(
-        sim_time=end_time,
-        events=events,
-        total_completions=completions,
-        estimates=estimates,
-        trend=trend,
-        trace=tuple(trace),
-    )
+        if end is None:
+            end = t
 
 
 def _ratio_batch_half_width(volumes: np.ndarray, sojourns: np.ndarray, n_batches: int) -> float:

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from caflow import capacity
 from caflow.capacity import (
     PRESET_PHI_GRID,
     RHO_CEILING,
@@ -14,7 +15,16 @@ from caflow.capacity import (
     zero_load_edge_throughput,
 )
 from caflow.errors import ConfigError, InfeasibleTargetError
-from caflow.model import AreaSpec, CellConfig, TrafficMix, harmonic_capacity, theta_approximation
+from caflow.model import (
+    AreaSpec,
+    CellConfig,
+    Policy,
+    TrafficMix,
+    harmonic_capacity,
+    mixed_mean_throughput,
+    theta_approximation,
+)
+from caflow.sim import Stop, Warmup, simulate
 
 
 def test_presets_match_documented_capacities():
@@ -155,6 +165,41 @@ def test_sim_evaluator_inverts_dc_only_target():
                           rel_tol=0.02, seed=5)
     result = max_sustainable_intensity(query)
     assert result.theta_star == pytest.approx(1.0, rel=0.05)
+
+
+def test_sim_probes_extend_one_trajectory(monkeypatch):
+    # probe k opens one trajectory, on stream 1000 k, and doubles along it;
+    # one that stopped at n completions reports exactly one simulate() run
+    # to n on that stream
+    opened, stopped_at = [], {}
+
+    class Recording(capacity.Trajectory):
+        def __init__(self, *args, stream, **kwargs):
+            super().__init__(*args, stream=stream, **kwargs)
+            self.stream = stream
+            opened.append(stream)
+
+        def advance(self, stop):
+            stopped_at[self.stream] = stop.completions
+            return super().advance(stop)
+
+    monkeypatch.setattr(capacity, "Trajectory", Recording)
+    cfg = CellConfig.single_area(1, 2)
+    query = CapacityQuery(cfg=cfg, phi=0.5, target_gamma=1.0, evaluator="sim", rel_tol=0.05)
+    result = max_sustainable_intensity(query)
+    assert opened == [1_000 * k for k in range(len(result.probes))]
+    assert max(stopped_at.values()) > capacity.SIM_COMPLETIONS  # some probe doubled
+    for k, probe in enumerate(result.probes):
+        completions = stopped_at[1_000 * k]
+        assert completions in [capacity.SIM_COMPLETIONS << r
+                               for r in range(capacity.SIM_MAX_DOUBLINGS + 1)]
+        rep = simulate(
+            cfg, TrafficMix(probe.theta, 0.5, 1.0), Policy.JFQ,
+            Stop(completions=completions), Warmup(0.2, min(10_000, completions // 4)),
+            seed=0, stream=1_000 * k, n_batches=10, min_group=100,
+        )
+        sc, dc = rep.estimate("sc", 0), rep.estimate("dc", 0)
+        assert probe.gamma == mixed_mean_throughput(sc.gamma_hat, dc.gamma_hat, 0.5)
 
 
 def test_preset_solver_attaches_reference_and_deviation():

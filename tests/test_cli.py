@@ -207,6 +207,17 @@ def test_main_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "solve.csv").exists()
 
 
+def test_main_solve_refuses_an_overloaded_cell(tmp_path, capsys):
+    # rho = 1.1 has no stationary regime: exit 2 at once, naming rho and the
+    # simulator, and no CSV
+    cfg = write_cfg(tmp_path, MINIMAL.replace("traffic.lambda = 1.0", "traffic.lambda = 2.2"))
+    rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "rho = 1.1" in err and "caflow simulate" in err
+    assert not (tmp_path / "solve.csv").exists()
+
+
 @pytest.mark.parametrize("flag", ["--rhos", "--phis"])
 def test_main_sweep_rejects_a_non_numeric_list(tmp_path, capsys, flag):
     cfg = write_cfg(tmp_path, MINIMAL)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from caflow import ctmc
 from caflow.ctmc import (
     SOLVE_TOL,
     Generator,
@@ -19,7 +21,12 @@ from caflow.ctmc import (
     solve_model,
     solve_stationary,
 )
-from caflow.errors import ConfigError, ConvergenceError, StateSpaceTooLargeError
+from caflow.errors import (
+    ConfigError,
+    ConvergenceError,
+    StateSpaceTooLargeError,
+    UnstableSystemError,
+)
 from caflow.model import (
     AreaSpec,
     CellConfig,
@@ -556,6 +563,21 @@ def test_solve_model_rejects_oversized_first_space():
     traffic = TrafficMix(1.0, 0.5, 1.0)
     with pytest.raises(StateSpaceTooLargeError):
         solve_model(cfg, traffic, max_states=5)
+
+
+@pytest.mark.parametrize("phi", [0.0, 0.5])
+@pytest.mark.parametrize("lam", [2.0, 2.2])
+def test_solve_model_refuses_an_overloaded_cell_at_once(monkeypatch, lam, phi):
+    # at rho >= 1 blocking at any cap is at least 1 - 1/rho, so no lattice
+    # meets the target: the refusal comes before any lattice is enumerated
+    def no_lattice(*_args, **_kwargs):
+        raise AssertionError("enumerated a lattice for an overloaded cell")
+
+    monkeypatch.setattr(ctmc, "enumerate_states", no_lattice)
+    start = time.perf_counter()
+    with pytest.raises(UnstableSystemError, match=f"rho = {lam / 2:g}"):
+        solve_model(single(1, 1), TrafficMix(lam, phi, 1.0))
+    assert time.perf_counter() - start < 0.1
 
 
 def test_solve_model_takes_no_explicit_truncation():

@@ -13,7 +13,7 @@ from caflow.ctmc import Truncation, build_generator, solve_model
 from caflow.errors import ConfigError
 from caflow.model import CellConfig, Policy, TrafficMix, harmonic_capacity
 from caflow.sim import (
-    TREND_SAMPLES, Stop, Warmup, _ols_trend, _ratio_batch_half_width, simulate,
+    TREND_SAMPLES, Stop, Trajectory, Warmup, _ols_trend, _ratio_batch_half_width, simulate,
 )
 
 
@@ -307,3 +307,44 @@ def test_sim_confidence_intervals_cover_ctmc_value():
         if abs(est.gamma_hat - truth) <= est.half_width:
             hits += 1
     assert hits >= 4
+
+
+# --- resumable trajectories ------------------------------------------------------
+
+
+@pytest.mark.parametrize("phi", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("policy", list(Policy))
+@pytest.mark.parametrize("areas", [1, 2])
+def test_advancing_to_k_then_2k_equals_one_run_to_2k(areas, policy, phi):
+    # a report taken between the two steps (as a capacity probe does) must
+    # not disturb the path; 4,000 completions cross the 8,192-draw blocks
+    cfg = single(1, 2) if areas == 1 else scenario_presets("dc-hsdpa")[0]
+    traffic = TrafficMix(0.7 * harmonic_capacity(cfg), phi, 1.0)
+    kwargs = dict(warmup=Warmup(0.2, 500), n_batches=10, min_group=100)
+    run = Trajectory(cfg, traffic, policy, seed=7, stream=3)
+    run.advance(Stop(completions=2000)).report(**kwargs)
+    stepped = run.advance(Stop(completions=4000)).report(**kwargs)
+    whole = simulate(cfg, traffic, policy, Stop(completions=4000), seed=7, stream=3, **kwargs)
+    assert stepped == whole
+
+
+def test_a_path_resumed_after_a_horizon_is_the_same_path():
+    # the horizon stop leaves the next holding time undrawn, so the resumed
+    # path, its trace included, equals one run to the later horizon
+    cfg = single(1, 1)
+    traffic = TrafficMix(1.4, 0.5, 1.0)
+    run = Trajectory(cfg, traffic, Policy.JFQ, seed=4, stream=1, collect_trace=400)
+    first = run.advance(Stop(horizon=50.0)).report()
+    assert 0 < first.events < 400 and first.sim_time == 50.0
+    stepped = run.advance(Stop(horizon=300.0)).report()
+    whole = simulate(cfg, traffic, Policy.JFQ, Stop(horizon=300.0), seed=4, stream=1,
+                     collect_trace=400)
+    assert stepped == whole
+    assert len(whole.trace) == 400
+
+
+def test_advance_rejects_a_horizon_in_the_past():
+    run = Trajectory(single(1, 1), TrafficMix(1.0, 0.5, 1.0))
+    run.advance(Stop(horizon=10.0))
+    with pytest.raises(ConfigError, match="lies before"):
+        run.advance(Stop(horizon=5.0))
