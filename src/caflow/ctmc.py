@@ -10,7 +10,11 @@ throughputs via Little's law.
 The stationary law has one solve path: pi_0 = 1 is fixed for the empty
 state, the other balance equations are solved by GMRES with an
 incomplete-LU preconditioner, and the balance residual of the normalized
-vector is then checked against ``SOLVE_TOL``.
+vector is then checked against ``SOLVE_TOL``. The lattice's axis count, a
+property of the problem, fixes the preconditioner's input order: one or two
+axes are factored with minimum-degree ordering, three or more in
+population-level order, in which every transition moves one level up or
+down and the generator is block tridiagonal.
 
 The truncation is one number, the cap on the total population. Arrivals
 from a state at the cap are dropped (loss model), whatever their class and
@@ -62,10 +66,13 @@ RELIABLE_BLOCKING = 1e-6
 #: blocking mass the auto-grow loop aims for
 DEFAULT_TARGET_BLOCKING = 1e-8
 
-#: incomplete-LU preconditioner of the reduced balance system
-_ILU_DROP_TOL = 1e-3
-_ILU_FILL_FACTOR = 10
-_ILU_PERMC = "MMD_AT_PLUS_A"
+#: incomplete-LU preconditioner of the reduced balance system: minimum
+#: degree on the lexicographic order for lattices of one or two axes, the
+#: population-level order as given for lattices of three or more
+_ILU_MIN_DEGREE = {"drop_tol": 1e-3, "fill_factor": 10, "permc_spec": "MMD_AT_PLUS_A"}
+_ILU_LEVELS = {
+    "drop_tol": 3e-2, "fill_factor": 10, "permc_spec": "NATURAL", "diag_pivot_thresh": 0.0,
+}
 
 #: GMRES stopping rule and restart length on the reduced system
 _GMRES_RTOL = 1e-14
@@ -347,16 +354,27 @@ class StationaryDistribution:
         return float(self.pi @ values)
 
 
-def _solve_reduced(qt, unif):
+def _ilu_plan(space: StateSpace) -> tuple[np.ndarray | None, dict]:
+    # (input order, spilu settings) of the reduced solve; level orders often
+    # beat minimum degree once the ILU drops entries (Benzi, Szyld & van
+    # Duin 1999), but on one or two axes minimum degree is nearly exact
+    if sum(r > 1 for r in space._radix) <= 2:
+        return None, _ILU_MIN_DEGREE
+    order = np.argsort(space.total, kind="stable")
+    if order[0] != 0 or space.total[order[1]] == 0:
+        raise AssertionError("the empty state is not alone at population level 0")
+    return order, _ILU_LEVELS
+
+
+def _solve_reduced(qt, unif, ilu_options):
     # pi_0 = 1 for the empty state (state 0), which every state reaches, so
     # dropping its balance equation and unknown leaves a non-singular system
-    # Q^T[1:, 1:] y = -Q^T[1:, 0] (Stewart 1994, ch. 2 and 5)
+    # Q^T[1:, 1:] y = -Q^T[1:, 0] (Stewart 1994, ch. 2 and 5); each column of
+    # that system is diagonally dominant, so the ILU may skip pivoting
     a = qt[1:, 1:]
     b = -qt[1:, 0].toarray().ravel()
     try:
-        ilu = spla.spilu(
-            a, drop_tol=_ILU_DROP_TOL, fill_factor=_ILU_FILL_FACTOR, permc_spec=_ILU_PERMC
-        )
+        ilu = spla.spilu(a, **ilu_options)
     except RuntimeError as exc:  # zero pivot in the incomplete factors
         raise ConvergenceError(f"ILU preconditioner failed: {exc}") from exc
     y, info = spla.gmres(
@@ -378,16 +396,33 @@ def solve_stationary(gen: Generator) -> StationaryDistribution:
     normalizes. A GMRES breakdown, or a normalized residual ||pi Q||_inf /
     unif above ``SOLVE_TOL``, raises :class:`ConvergenceError` with the
     residual in its message.
+
+    The lattice's axis count picks the ILU's input order: minimum degree on
+    one or two axes, where it is nearly exact and cheap; population-level
+    order on three or more (states sorted by total population, the empty
+    state alone first). Every transition changes the total by one, so Q^T
+    is block tridiagonal in that order, and an ILU that drops entries below
+    3e-2 preconditions it well at a fraction of minimum degree's fill. The
+    residual is checked on the unpermuted vector against ``gen.Q``.
     """
     n = gen.Q.shape[0]
     unif = gen.unif if gen.unif > 0 else 1.0
-    x = np.ones(1) if n == 1 else _solve_reduced(gen.Q.T.tocsc(), unif)
+    qt = gen.Q.T.tocsc()
+    if n == 1:
+        x = np.ones(1)
+    else:
+        order, ilu_options = _ilu_plan(gen.space)
+        if order is None:
+            x = _solve_reduced(qt, unif, ilu_options)
+        else:
+            x = np.empty(n)
+            x[order] = _solve_reduced(qt[order][:, order], unif, ilu_options)
     x = np.maximum(x, 0.0)
     total = x.sum()
     if not np.isfinite(total):
         raise ConvergenceError("the reduced solve produced a non-finite vector")
     x = x / total
-    residual = float(np.abs(gen.Q.T.tocsr() @ x).max()) * (1.0 / unif)
+    residual = float(np.abs(qt @ x).max()) * (1.0 / unif)
     if residual > SOLVE_TOL:
         raise ConvergenceError(
             f"stationary solve failed to reach tol={SOLVE_TOL} (residual {residual:.3e})"

@@ -491,6 +491,27 @@ def test_run_validate_detects_corrupted_generator(capsys, monkeypatch):
     assert "[FAIL] generator-row-sums" in out
 
 
+def test_run_validate_detects_a_stationary_law_off_the_direct_solve(capsys, monkeypatch):
+    from dataclasses import replace
+
+    solve = cli.solve_stationary
+
+    def shifted(gen):
+        # still non-negative and summing to one, but 1e-9 off the balance law
+        dist = solve(gen)
+        pi = dist.pi.copy()
+        pi[0] -= 1e-9
+        pi[1] += 1e-9
+        return replace(dist, pi=pi)
+
+    monkeypatch.setattr(cli, "solve_stationary", shifted)
+    assert run_validate() == 3
+    out = capsys.readouterr().out
+    assert "[FAIL] stationary-solution" in out
+    assert "deviates from a direct solve by 1.000e-09" in out
+    assert out.count("[FAIL]") == 1
+
+
 def test_run_validate_detects_jfq_joining_the_slower_carrier(capsys, monkeypatch):
     rule = cli.sc_carrier1_share
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -403,6 +404,57 @@ def test_solver_matches_dense_reference_on_random_small_cells(
     dist = solve_stationary(gen)
     assert dist.residual <= SOLVE_TOL
     assert np.abs(dist.pi - dense_stationary(gen)).max() <= 1e-10
+
+
+def direct_reduced_stationary(gen):
+    # sparse direct solve of the reduced system the solver iterates on:
+    # pi_0 = 1, Q^T[1:, 1:] y = -Q^T[1:, 0], then normalized
+    qt = gen.Q.T.tocsc()
+    y = spla.spsolve(qt[1:, 1:], -qt[1:, 0].toarray().ravel(), permc_spec="MMD_AT_PLUS_A")
+    x = np.concatenate(([1.0], y))
+    return x / x.sum()
+
+
+@pytest.mark.parametrize(
+    "cfg, phi, rho, policy, max_total",
+    [
+        (single(1, 2), 0.5, 0.8, Policy.JFQ, 30),
+        (single(1, 2), 0.5, 0.8, Policy.JSQ, 30),
+        (single(1, "1.3"), 0.5, 0.7, Policy.BERNOULLI, 30),
+        (two_area((10, 14), (1, "1.4")), 1.0, 0.5, Policy.JFQ, 23),
+        (two_area((10, 14), (1, "1.4")), 0.5, 0.458, Policy.JFQ, 10),
+    ],
+    ids=["mixed-jfq", "mixed-jsq", "mixed-bernoulli", "two-area-sc", "two-area-mixed"],
+)
+def test_level_ordered_solve_matches_a_direct_solve(cfg, phi, rho, policy, max_total):
+    # lattices of three or more axes are factored in population-level order
+    # by an ILU that drops entries; the GMRES answer must be the reduced
+    # system's own
+    traffic = TrafficMix(rho * harmonic_capacity(cfg), phi, 1.0)
+    space = enumerate_states(cfg, Truncation(max_total=max_total), traffic=traffic)
+    assert 5_000 <= len(space) <= 20_000
+    assert ctmc._ilu_plan(space)[1] is ctmc._ILU_LEVELS
+    gen = build_generator(cfg, traffic, space, policy)
+    dist = solve_stationary(gen)
+    assert dist.residual <= SOLVE_TOL
+    assert np.abs(dist.pi - direct_reduced_stationary(gen)).sum() <= 1e-11
+
+
+def test_level_order_keeps_the_empty_state_first():
+    for cfg, phi in ((single(1, 2), 0.5), (two_area((10, 10), (1, 1)), 0.5)):
+        space = enumerate_states(
+            cfg, Truncation(max_total=6), traffic=TrafficMix(1.0, phi, 1.0)
+        )
+        order, _ = ctmc._ilu_plan(space)
+        assert order[0] == 0
+        assert np.all(np.diff(space.total[order]) >= 0)
+        assert space.total[order[1:]].min() == 1
+    # one or two axes keep the lexicographic order for minimum degree
+    for phi in (0.0, 1.0):
+        space = enumerate_states(
+            single(1, 2), Truncation(max_total=6), traffic=TrafficMix(1.0, phi, 1.0)
+        )
+        assert ctmc._ilu_plan(space) == (None, ctmc._ILU_MIN_DEGREE)
 
 
 def test_symmetric_capacities_give_symmetric_marginals():
