@@ -8,6 +8,7 @@ import pytest
 from scipy.special import stdtrit
 from scipy.stats import chisquare, t
 
+from caflow import sim
 from caflow.capacity import scenario_presets
 from caflow.ctmc import Truncation, build_generator, solve_model
 from caflow.errors import ConfigError
@@ -86,6 +87,30 @@ def test_stop_validation():
         Stop()
     with pytest.raises(ConfigError):
         Stop(horizon=-1.0)
+
+
+@pytest.mark.parametrize("fraction, min_completions",
+                         [(1.5, 10), (1.0, 0), (-0.1, 0), (math.nan, 0), (0.2, -1)])
+def test_warmup_validation(fraction, min_completions):
+    with pytest.raises(ConfigError, match="warmup"):
+        Warmup(fraction, min_completions)
+
+
+def test_warmup_without_a_count_cut_keeps_the_fraction_cut():
+    # k = 0 is no count cut; it used to read the last completion and
+    # discard every one
+    kwargs = dict(stop=Stop(completions=20_000), seed=3)
+    rep = simulate(single(1, 2), TrafficMix(1.6, 0.5, 1.0), warmup=Warmup(0.1, 0), **kwargs)
+    assert all(est.gamma_hat is not None for est in rep.estimates.values())
+    assert rep == simulate(single(1, 2), TrafficMix(1.6, 0.5, 1.0), warmup=Warmup(0.1, 1),
+                           **kwargs)
+
+
+@pytest.mark.parametrize("n_batches", [1, 0, -3])
+def test_batch_means_need_two_batches(n_batches):
+    with pytest.raises(ConfigError, match="n_batches"):
+        simulate(single(1, 2), TrafficMix(1.6, 0.5, 1.0), stop=Stop(completions=3000),
+                 n_batches=n_batches)
 
 
 def test_sc_user_gets_full_rate_at_tiny_load():
@@ -348,3 +373,40 @@ def test_advance_rejects_a_horizon_in_the_past():
     run.advance(Stop(horizon=10.0))
     with pytest.raises(ConfigError, match="lies before"):
         run.advance(Stop(horizon=5.0))
+
+
+# --- per-state rate memo ---------------------------------------------------------
+
+
+def _memo_cases():
+    # the grid of test_advancing_to_k_then_2k_equals_one_run_to_2k
+    for areas in (1, 2):
+        cfg = single(1, 2) if areas == 1 else scenario_presets("dc-hsdpa")[0]
+        for policy in Policy:
+            for phi in (0.0, 0.5, 1.0):
+                traffic = TrafficMix(0.7 * harmonic_capacity(cfg), phi, 1.0)
+                yield pytest.param(cfg, traffic, policy, Stop(completions=4000), 0, False,
+                                   id=f"{areas}-{policy.value}-{phi}")
+    yield pytest.param(single(1, 1), TrafficMix(1.4, 0.5, 1.0), Policy.JFQ,
+                       Stop(horizon=300.0), 400, False, id="horizon-trace")
+    # overloaded: the population keeps growing, so the states outgrow a small memo
+    cfg = scenario_presets("dc-hsdpa")[0]
+    yield pytest.param(cfg, TrafficMix(2.0 * harmonic_capacity(cfg), 0.5, 1.0), Policy.JFQ,
+                       Stop(completions=3000), 10_000, True, id="overloaded-two-area")
+
+
+@pytest.mark.parametrize("cfg, traffic, policy, stop, collect_trace, outgrows",
+                         list(_memo_cases()))
+def test_memoized_and_recomputed_rates_give_the_same_path(
+    monkeypatch, cfg, traffic, policy, stop, collect_trace, outgrows
+):
+    # the memo only replays rates it computed, so a run that never stores a
+    # state and one that runs out of room give the default run's report
+    kwargs = dict(stop=stop, warmup=Warmup(0.2, 500), seed=7, stream=3, n_batches=10,
+                  min_group=100, collect_trace=collect_trace)
+    default = simulate(cfg, traffic, policy, **kwargs)
+    for cap in (0, 64):
+        monkeypatch.setattr(sim, "_MEMO_STATES", cap)
+        assert simulate(cfg, traffic, policy, **kwargs) == default
+    if outgrows:
+        assert len({ev.state_after for ev in default.trace}) > 64
