@@ -11,9 +11,25 @@ no per-carrier residual bookkeeping is needed.
 The event loop is resumable: a :class:`Trajectory` is advanced from stop to
 stop and reports on everything simulated so far, so a longer run extends a
 shorter one instead of repeating it. :func:`simulate` is one trajectory
-advanced once. A stable cell keeps revisiting a few hundred to a few
-thousand states, so each trajectory caches the event rates of the states it
-enters in a bounded memo instead of recomputing them at every event.
+advanced once.
+
+A stable cell keeps revisiting a few hundred to a few thousand states, so
+each trajectory keeps a bounded memo of the states it enters, keyed by the
+state's counts packed as the digits of one integer. An entry is the state's
+event table: the total rate, one cut point per event, and each event's
+action (the flow group it joins or leaves, and the key's change), with an
+SC arrival's carrier already routed, or, on a routing tie and under
+Bernoulli, left to a uniform drawn at the event. The reference pick of an
+event is a scan that walks the rates, subtracting each one that the draw
+passes. Since a rounded subtraction is monotone in its first operand, the
+scan's pick never falls as the draw grows, so each event has a smallest
+draw that reaches it; the cuts are those exact floats, found from the
+running sum by whole-ulp steps (the running sum itself would differ at some
+of them). Bisection over the cuts therefore picks the scan's event, and the
+path, its draws and its floats are those of the scan. The loop keeps no
+counts per event: on a memo miss they are read off the key (or stepped
+from the previous miss). States past the memo's bound are computed afresh
+at each visit and picked by the scan.
 
 Per-flow sojourns are recovered from the count process: in a symmetric
 (processor-sharing) queue every customer of a class is exchangeable, so the
@@ -31,6 +47,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +70,8 @@ CI_LEVEL = 0.95
 
 _BLOCK = 8192
 
-# states whose event rates the event loop keeps; later states are recomputed
+# states whose event tables the event loop keeps; later states are recomputed
+# and scanned at every visit
 _MEMO_STATES = 1 << 13
 
 # base of the memo key's digits: above 2**32, so a count stays in its own
@@ -75,8 +93,9 @@ class Stop:
     def __post_init__(self):
         if self.horizon is None and self.completions is None:
             raise ConfigError("set a horizon, a completion target, or both")
-        if self.horizon is not None and self.horizon <= 0:
-            raise ConfigError("horizon must be > 0")
+        if self.horizon is not None and not 0 < self.horizon < math.inf:
+            # a NaN or infinite horizon is never reached: the run would not end
+            raise ConfigError(f"horizon must be finite and > 0, got {self.horizon!r}")
         if self.completions is not None and self.completions < 1:
             raise ConfigError("completion target must be >= 1")
 
@@ -197,12 +216,15 @@ class Trajectory:
     Bernoulli arrival or routing tie. Changing this order changes every
     answer.
 
-    The event rates of a state and their total are computed the first time
-    the path enters it and kept in a memo keyed by the state's counts, for
-    at most ``_MEMO_STATES`` (8,192) states per trajectory; a state met
-    again reuses them, and states past the bound are recomputed at every
-    visit. A memoized rate is the very float the computation gives, so the
-    memo changes no draw and no answer.
+    A state's event table (total rate, cut points, and each event's action
+    with SC routing resolved) is built the first time the path enters it
+    and kept in a memo keyed by the state's counts, for at most
+    ``_MEMO_STATES`` (8,192) states per trajectory; a state met again picks
+    its event by bisection on the cuts, and states past the bound recompute
+    their rates and scan them at every visit. The cuts are exact: at every
+    draw the bisection picks the event the scan picks, and a routing tie or
+    Bernoulli arrival takes its uniform at the event either way, so the memo
+    changes no draw and no answer.
     """
 
     def __init__(
@@ -220,8 +242,8 @@ class Trajectory:
         self.sim_time = 0.0
         self.events = 0
         self.completions = 0
-        # per (slot, area): arrival times of the flows in service
-        self._in_service: list[list[list[float]]] = [
+        # per (slot, area): (arrival time, volume) of each flow in service
+        self._in_service: list[list[list[tuple[float, float]]]] = [
             [[] for _ in range(cfg.n_areas)] for _ in range(3)
         ]
         # per completion: kind (0 SC, 1 DC), area, volume, arrival and
@@ -268,7 +290,7 @@ class Trajectory:
         # times, each read off the flow times as arrivals minus completions so far
         if end_time > 0:
             grid = np.linspace(0.0, end_time, TREND_SAMPLES)
-            in_service = [at for slot in self._in_service for group in slot for at in group]
+            in_service = [at for slot in self._in_service for group in slot for at, _ in group]
             arrived = np.sort(np.append(arrs, in_service))
             pops = np.searchsorted(arrived, grid, side="right") - np.searchsorted(
                 dones, grid, side="right"
@@ -319,14 +341,13 @@ class Trajectory:
         )
 
 
-def _event_loop(cfg, traffic, routing, seed, stream, collect_trace, reg_t, done, trace):
+def _event_loop(cfg, traffic, routing, seed, stream, collect_trace, groups, done, trace):
     """The event loop of a :class:`Trajectory`, as a generator.
 
     Each ``send(stop)`` runs the path to ``stop`` and yields (end time,
     events, completions); the loop's state stays in the generator's locals
-    between sends. Completions go to the ``done`` buffers, the arrival times
-    of flows in service to ``reg_t``, and up to ``collect_trace`` events to
-    ``trace``.
+    between sends. Completions go to the ``done`` buffers, the flows in
+    service to ``groups``, and up to ``collect_trace`` events to ``trace``.
     """
     n_areas = cfg.n_areas
     areas = cfg.areas
@@ -336,21 +357,37 @@ def _event_loop(cfg, traffic, routing, seed, stream, collect_trace, reg_t, done,
     # Python floats keep numpy scalars out of the per-event arithmetic
     rates: list[float] = []
     arrival_total = 0.0
-    # per event index: (is arrival, area, slot); an SC arrival's slot is None
-    # until routing picks it
-    actions: list[tuple[bool, int, int | None]] = []
     for j in range(n_areas):
         alpha, beta = map(float, traffic.area_rates(cfg, j))
         rates += (alpha, beta)
         arrival_total += alpha + beta
-        actions += ((True, j, None), (True, j, 2))
     n_arrival = len(rates)
     rates += [0.0] * (3 * n_areas)
-    actions += ((False, j, slot) for j in range(n_areas) for slot in range(3))
     # the memo key of a state: its counts as the digits of one integer
     strides = [[_KEY_RADIX ** (3 * j + slot) for slot in range(3)] for j in range(n_areas)]
+    # per event, its action (flow group, key change, area, slot), the key
+    # change positive for an arrival; the SC arrival of area j (event 2j) has
+    # none until routing in a state gives it one
+    arrive = [[(groups[slot][j], strides[j][slot], j, slot) for slot in range(3)]
+              for j in range(n_areas)]
+    fixed_acts = [act for j in range(n_areas) for act in (None, arrive[j][2])]
+    fixed_acts += ((groups[slot][j], -strides[j][slot], j, slot)
+                   for j in range(n_areas) for slot in range(3))
+
+    def route(j, n1, n2, m):
+        # the action of area j's SC arrival in a state with cell totals n1, n2, m
+        share = sc_carrier1_share(routing, areas[j], n1, n2, m)
+        if routing is Policy.BERNOULLI or share == 0.5:
+            return None, share, arrive[j][0], arrive[j][1]  # a uniform picks the carrier
+        return arrive[j][0 if share else 1]
+
     key = 0
-    memo: dict[int, tuple[float, tuple[float, ...]]] = {}
+    # per area [n1j, n2j, mj], and the cell totals [n1, n2, m], of the state
+    # whose key is ``counted``: on a memo miss they are stepped by the last
+    # event if they were the state's before it, else decoded from the key
+    counts, totals = _key_counts(0, n_areas)
+    counted = delta = 0
+    memo: dict[int, tuple[float, list[float], list[tuple]]] = {}
     memo_get = memo.get
     room = _MEMO_STATES
 
@@ -359,10 +396,6 @@ def _event_loop(cfg, traffic, routing, seed, stream, collect_trace, reg_t, done,
     unis = rng.random(_BLOCK).tolist()
     ei = ui = 0
 
-    counts = [[0, 0, 0] for _ in range(n_areas)]  # per area: [n1j, n2j, mj]
-    totals = [0, 0, 0]  # cell-wide n1, n2, m
-    # per (slot, area): sampled volumes of active flows, aligned with reg_t
-    reg_v: list[list[list[float]]] = [[[] for _ in range(n_areas)] for _ in range(3)]
     done_kind, done_area, done_vol, done_arr, done_at = done
 
     t = end = 0.0
@@ -377,6 +410,14 @@ def _event_loop(cfg, traffic, routing, seed, stream, collect_trace, reg_t, done,
         while target is None or completions < target:
             entry = memo_get(key)
             if entry is None:
+                if counted != key:
+                    if counted + delta == key:  # the counts are the state's before this event
+                        step = 1 if delta > 0 else -1
+                        counts[j][slot] += step
+                        totals[slot] += step
+                    else:
+                        counts, totals = _key_counts(key, n_areas)
+                    counted = key
                 n1, n2, m = totals
                 k1 = n1 + m
                 k2 = n2 + m
@@ -391,12 +432,17 @@ def _event_loop(cfg, traffic, routing, seed, stream, collect_trace, reg_t, done,
                     rates[i + 2] = r3
                     i += 3
                     total_rate += r1 + r2 + r3
-                row = rates
                 if room:
-                    memo[key] = (total_rate, tuple(rates))
+                    acts = fixed_acts.copy()
+                    for area in range(n_areas):
+                        acts[2 * area] = route(area, n1, n2, m)
+                    cuts = _cuts(rates)
+                    memo[key] = (total_rate, cuts, acts)
                     room -= 1
+                else:
+                    cuts = None
             else:
-                total_rate, row = entry
+                total_rate, cuts, acts = entry
             if total_rate > 0.0:
                 if ei == _BLOCK:
                     exps, ei = rng.standard_exponential(_BLOCK).tolist(), 0
@@ -416,59 +462,104 @@ def _event_loop(cfg, traffic, routing, seed, stream, collect_trace, reg_t, done,
                 unis, ui = rng.random(_BLOCK).tolist(), 0
             u = unis[ui] * total_rate
             ui += 1
-            chosen = 0
-            for chosen, r in enumerate(row):
-                if u < r:
-                    break
-                u -= r
-            while row[chosen] <= 0.0:  # guard against roundoff walking past the end
-                chosen -= 1
-            arrival, j, slot = actions[chosen]
-            if arrival:
-                if slot is None:
-                    share = sc_carrier1_share(routing, areas[j], *totals)
-                    if routing is Policy.BERNOULLI or share == 0.5:
-                        if ui == _BLOCK:
-                            unis, ui = rng.random(_BLOCK).tolist(), 0
-                        slot = 0 if unis[ui] < share else 1
-                        ui += 1
-                    else:
-                        slot = 0 if share else 1
-                if ei == _BLOCK:
-                    exps, ei = rng.standard_exponential(_BLOCK).tolist(), 0
-                reg_t[slot][j].append(t)
-                reg_v[slot][j].append(exps[ei] * sigma)
-                ei += 1
-                counts[j][slot] += 1
-                totals[slot] += 1
-                key += strides[j][slot]
+            if cuts is None:  # past the memo's bound: scan, and route an SC arrival now
+                chosen = _scan(rates, u)
+                act = fixed_acts[chosen] or route(chosen >> 1, n1, n2, m)
             else:
-                group_t = reg_t[slot][j]
-                group_v = reg_v[slot][j]
+                act = acts[bisect_right(cuts, u)]
+            if act[0] is None:  # an SC arrival on a routing tie or under Bernoulli
+                _, share, on_1, on_2 = act
                 if ui == _BLOCK:
                     unis, ui = rng.random(_BLOCK).tolist(), 0
-                victim = int(unis[ui] * len(group_t))
+                act = on_1 if unis[ui] < share else on_2
                 ui += 1
-                done_arr.append(group_t[victim])
-                done_vol.append(group_v[victim])
-                group_t[victim] = group_t[-1]
-                group_v[victim] = group_v[-1]
-                group_t.pop()
-                group_v.pop()
-                counts[j][slot] -= 1
-                totals[slot] -= 1
-                key -= strides[j][slot]
+            group, delta, j, slot = act
+            key += delta
+            if delta > 0:
+                if ei == _BLOCK:
+                    exps, ei = rng.standard_exponential(_BLOCK).tolist(), 0
+                group.append((t, exps[ei] * sigma))
+                ei += 1
+            else:
+                if ui == _BLOCK:
+                    unis, ui = rng.random(_BLOCK).tolist(), 0
+                victim = int(unis[ui] * len(group))
+                ui += 1
+                arrived, volume = group[victim]
+                group[victim] = group[-1]
+                group.pop()
+                done_arr.append(arrived)
+                done_vol.append(volume)
                 done_kind.append(0 if slot < 2 else 1)
                 done_area.append(j)
                 done_at.append(t)
                 completions += 1
             if collect_trace and len(trace) < collect_trace:
-                label = f"T{slot + 1 if arrival else slot + 4}"
-                state = tuple(v for area in counts for v in area)
+                label = f"T{slot + 1 if delta > 0 else slot + 4}"
+                state = tuple(v for area in _key_counts(key, n_areas)[0] for v in area)
                 trace.append(TraceEvent(time=t, label=label, area=j, state_after=state))
 
         if end is None:
             end = t
+
+
+def _key_counts(key: int, n_areas: int) -> tuple[list[list[int]], list[int]]:
+    # the counts that a memo key holds as digits: per area [n1j, n2j, mj],
+    # and the cell totals [n1, n2, m]
+    counts = []
+    for _ in range(n_areas):
+        area = []
+        for _ in range(3):
+            key, count = divmod(key, _KEY_RADIX)
+            area.append(count)
+        counts.append(area)
+    return counts, [sum(area[slot] for area in counts) for slot in range(3)]
+
+
+def _scan(rates: list[float], u: float) -> int:
+    """The event that the draw ``u`` (a uniform times the total rate) picks:
+    walk the rates, subtracting each one that ``u`` passes."""
+    chosen = 0
+    for chosen, r in enumerate(rates):
+        if u < r:
+            break
+        u -= r
+    while rates[chosen] <= 0.0:  # guard against roundoff walking past the end
+        chosen -= 1
+    return chosen
+
+
+def _cuts(rates: list[float]) -> list[float]:
+    """Cut points at which ``bisect_right(cuts, u)`` equals ``_scan(rates, u)``
+    for every u >= 0.
+
+    ``cuts[k - 1]`` is the smallest u >= 0 at which the scan picks an event
+    k or later. The scan's pick never falls as u grows (a rounded
+    subtraction is monotone in its first operand), so each cut exists and
+    bisection counts the cuts at or below u. Past the last positive rate no
+    u reaches a cut (the guard walks back): those cuts are inf. After a zero
+    rate the cut repeats. Any other cut starts at the running sum of the
+    rates before k and moves by whole ulps until the scan agrees.
+    """
+    last = max((k for k, r in enumerate(rates) if r > 0.0), default=-1)
+    cuts = []
+    total = cut = 0.0
+    for k in range(1, len(rates)):
+        rate = rates[k - 1]
+        total += rate
+        if k > last:
+            cut = math.inf
+        elif rate > 0.0:
+            cut = total
+            if _scan(rates, cut) >= k:
+                while cut > 0.0 and _scan(rates, below := math.nextafter(cut, -math.inf)) >= k:
+                    cut = below
+            else:
+                cut = math.nextafter(cut, math.inf)
+                while _scan(rates, cut) < k:
+                    cut = math.nextafter(cut, math.inf)
+        cuts.append(cut)
+    return cuts
 
 
 def _ratio_batch_half_width(volumes: np.ndarray, sojourns: np.ndarray, n_batches: int) -> float:

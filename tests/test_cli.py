@@ -242,6 +242,18 @@ def test_main_simulate_emits_estimates_and_trace(tmp_path):
     assert len(trace) > 20
 
 
+@pytest.mark.parametrize("horizon", ["nan", "inf"])
+def test_main_simulate_refuses_a_horizon_it_never_reaches(tmp_path, capsys, monkeypatch, horizon):
+    # with no completion target such a run would never stop; it is refused
+    # before any event is simulated
+    monkeypatch.setattr(cli, "simulate", lambda *a, **k: pytest.fail("the run started"))
+    cfg = write_cfg(tmp_path, MINIMAL)
+    rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path), "--horizon", horizon])
+    assert rc == 1
+    assert capsys.readouterr().err == f"horizon must be finite and > 0, got {float(horizon)!r}\n"
+    assert not (tmp_path / "simulate.csv").exists()
+
+
 def test_main_sweep_orders_rows(tmp_path):
     cfg = write_cfg(tmp_path, MINIMAL)
     rc = main([

@@ -1,7 +1,9 @@
 import hashlib
 import math
+from bisect import bisect_right
 from collections import Counter, defaultdict
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from caflow import sim
 from caflow.capacity import scenario_presets
 from caflow.ctmc import Truncation, build_generator, solve_model
 from caflow.errors import ConfigError
-from caflow.model import CellConfig, Policy, TrafficMix, harmonic_capacity
+from caflow.model import AreaSpec, CellConfig, Policy, TrafficMix, harmonic_capacity
 from caflow.sim import (
     TREND_SAMPLES, Stop, Trajectory, Warmup, _ols_trend, _ratio_batch_half_width, simulate,
 )
@@ -87,6 +89,12 @@ def test_stop_validation():
         Stop()
     with pytest.raises(ConfigError):
         Stop(horizon=-1.0)
+    # a horizon the path never reaches: with no completion target the run
+    # would never end
+    with pytest.raises(ConfigError, match="finite"):
+        Stop(horizon=math.nan)
+    with pytest.raises(ConfigError, match="finite"):
+        Stop(horizon=math.inf, completions=10)
 
 
 @pytest.mark.parametrize("fraction, min_completions",
@@ -385,28 +393,90 @@ def _memo_cases():
         for policy in Policy:
             for phi in (0.0, 0.5, 1.0):
                 traffic = TrafficMix(0.7 * harmonic_capacity(cfg), phi, 1.0)
-                yield pytest.param(cfg, traffic, policy, Stop(completions=4000), 0, False,
+                yield pytest.param(cfg, traffic, policy, Stop(completions=4000), 0, None,
                                    id=f"{areas}-{policy.value}-{phi}")
     yield pytest.param(single(1, 1), TrafficMix(1.4, 0.5, 1.0), Policy.JFQ,
-                       Stop(horizon=300.0), 400, False, id="horizon-trace")
+                       Stop(horizon=300.0), 400, None, id="horizon-trace")
     # overloaded: the population keeps growing, so the states outgrow a small memo
     cfg = scenario_presets("dc-hsdpa")[0]
     yield pytest.param(cfg, TrafficMix(2.0 * harmonic_capacity(cfg), 0.5, 1.0), Policy.JFQ,
-                       Stop(completions=3000), 10_000, True, id="overloaded-two-area")
+                       Stop(completions=3000), 10_000, "outgrows", id="overloaded-two-area")
+    # equal carriers in both areas: fastest-queue ties whenever the cell's n1
+    # and n2 are equal, and a uniform then picks the carrier
+    cfg = CellConfig(areas=(AreaSpec(1, 1, 0.5), AreaSpec(1, 1, 0.5)))
+    yield pytest.param(cfg, TrafficMix(0.7 * harmonic_capacity(cfg), 0.5, 1.0), Policy.JFQ,
+                       Stop(completions=3000), 10_000, "ties", id="two-area-jfq-ties")
 
 
-@pytest.mark.parametrize("cfg, traffic, policy, stop, collect_trace, outgrows",
+def _sc_arrivals_on_a_tie(trace):
+    # SC arrivals (T1, T2) whose state before the event has equal cell
+    # totals of SC users on the two carriers
+    before = (0,) * len(trace[0].state_after)
+    ties = 0
+    for ev in trace:
+        if ev.label in ("T1", "T2"):
+            ties += sum(before[0::3]) == sum(before[1::3])
+        before = ev.state_after
+    return ties
+
+
+@pytest.mark.parametrize("cfg, traffic, policy, stop, collect_trace, shows",
                          list(_memo_cases()))
 def test_memoized_and_recomputed_rates_give_the_same_path(
-    monkeypatch, cfg, traffic, policy, stop, collect_trace, outgrows
+    monkeypatch, cfg, traffic, policy, stop, collect_trace, shows
 ):
-    # the memo only replays rates it computed, so a run that never stores a
-    # state and one that runs out of room give the default run's report
+    # the memo only replays what it computed, so a run that never stores a
+    # state and one that runs out of room give the default run's report: the
+    # event picked by bisection on a state's cuts is the one the scan picks,
+    # and an SC arrival routed from the memo's table draws the same uniforms
+    # as one routed on the scan path
     kwargs = dict(stop=stop, warmup=Warmup(0.2, 500), seed=7, stream=3, n_batches=10,
                   min_group=100, collect_trace=collect_trace)
     default = simulate(cfg, traffic, policy, **kwargs)
     for cap in (0, 64):
         monkeypatch.setattr(sim, "_MEMO_STATES", cap)
         assert simulate(cfg, traffic, policy, **kwargs) == default
-    if outgrows:
+    if shows:  # the path's states outgrow the small memo
         assert len({ev.state_after for ev in default.trace}) > 64
+    if shows == "ties":
+        assert len(default.trace) == default.events  # the whole path is traced
+        assert _sc_arrivals_on_a_tie(default.trace) > 100
+
+
+# --- event tables --------------------------------------------------------------
+
+
+def _random_rows():
+    # rows shaped like a state's rates (2 arrivals per area, then 3
+    # departures per area) for one, two and three areas: a third of the
+    # rates zero, the rest spread over 1e-3 .. 1e3
+    rng = np.random.default_rng(1977)
+    for length in (5, 10, 15):
+        for _ in range(1500):
+            rates = 10.0 ** rng.uniform(-3.0, 3.0, length)
+            rates[rng.random(length) < 1 / 3] = 0.0
+            if rates.any():
+                yield rates.tolist()
+
+
+def test_bisection_on_the_cuts_picks_the_scans_event():
+    # at every cut, one ulp either side of it, and at and past the running
+    # total (where the scan walks off the end and the guard steps back) the
+    # bisection picks what the scan picks
+    moved = 0
+    for rates in _random_rows():
+        cuts = sim._cuts(rates)
+        assert len(cuts) == len(rates) - 1
+        sums = list(accumulate(rates))
+        total = sums[-1]
+        probes = [0.0, total, math.nextafter(total, math.inf), 2.0 * total]
+        for cut in cuts:
+            if math.isfinite(cut):
+                probes += (cut, math.nextafter(cut, -math.inf), math.nextafter(cut, math.inf))
+        for u in probes:
+            if u >= 0.0:
+                assert bisect_right(cuts, u) == sim._scan(rates, u), (rates, u)
+        moved += sum(math.isfinite(cut) and cut != running for running, cut in zip(sums, cuts))
+    # the scan's subtractions round differently from the running sum, so a
+    # plain cumulative sum would pick another event at some of these cuts
+    assert moved > 100
