@@ -25,13 +25,9 @@ from .model import (
     CellConfig,
     LoadSummary,
     Policy,
-    Stability,
-    StabilityVerdict,
     SystemState,
     TrafficMix,
-    bernoulli_probabilities,
     dc_aggregate_rate,
-    dc_only_mean_occupancy,
     dc_only_throughput,
     fluid_total_drift,
     harmonic_capacity,
@@ -40,8 +36,6 @@ from .model import (
     per_user_rates,
     ring_area_probabilities,
     sc_carrier1_share,
-    sc_jfq_throughput_approx,
-    stability_verdict,
     theta_approximation,
     vb_split,
 )

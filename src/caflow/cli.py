@@ -43,8 +43,10 @@ from .ctmc import (
     DEFAULT_STATE_BUDGET,
     Truncation,
     build_generator,
+    enumerate_states,
     solve_model,
     solve_stationary,
+    throughputs_from_distribution,
 )
 from .errors import (
     CaflowError,
@@ -769,6 +771,34 @@ def _check_jfq_joins_fastest():
     return f"{len(cases)} routing decisions join the faster carrier or split a tie"
 
 
+def _check_band_truncation():
+    # fastest-queue routing keeps the carriers near balance, so solve_model
+    # cuts the lattice to a band of the imbalance; against the full lattice
+    # at the same population cap the answer must stay within 1e-6
+    cfg = CellConfig.single_area(1, 2)
+    traffic = TrafficMix(2.1, 0.5, 1.0)  # rho = 0.7
+    report, _ = solve_model(cfg, traffic, Policy.JFQ)
+    diag = report.diagnostics
+    if diag.band is None:
+        raise CheckFailed("the solve cut no band")
+    if diag.blocking_max > 1e-8:
+        raise CheckFailed(f"dropped mass {diag.blocking_max:.3e} exceeds 1e-8")
+    space = enumerate_states(cfg, Truncation(diag.max_total), traffic=traffic)
+    full = throughputs_from_distribution(
+        solve_stationary(build_generator(cfg, traffic, space, Policy.JFQ))
+    )
+    worst = max(
+        abs(report.gamma_sc(0) / full.gamma_sc(0) - 1.0),
+        abs(report.gamma_dc(0) / full.gamma_dc(0) - 1.0),
+    )
+    if not worst <= 1e-6:
+        raise CheckFailed(f"band gamma deviates from the full lattice by {worst:.3e} (relative)")
+    return (
+        f"{diag.states} of {len(space)} states (band {diag.band}), dropped mass "
+        f"{diag.blocking_max:.2e}, gamma within {worst:.1e} of the full lattice"
+    )
+
+
 def _check_vb_conservation():
     worst = 0.0
     for c1, c2 in [(1, 2), ("1.3", "0.7"), (Fraction(5, 3), Fraction(7, 11))]:
@@ -810,6 +840,7 @@ VALIDATION_CHECKS = [
     ("jfq-jsq-identity", _check_jfq_jsq_identity),
     ("routing-scale-invariance", _check_routing_scale_invariance),
     ("jfq-joins-fastest", _check_jfq_joins_fastest),
+    ("band-truncation", _check_band_truncation),
     ("vb-conservation", _check_vb_conservation),
     ("csv-determinism", _check_csv_determinism),
 ]

@@ -1,7 +1,7 @@
 """Truncated Markov-chain evaluation of the two-carrier cell.
 
 The occupancy process lives on the lattice of 3J non-negative counts. This
-module enumerates the states inside a population cap, assembles the sparse
+module enumerates the states inside the truncation, assembles the sparse
 transition-rate matrix for a chosen SC routing policy (fastest-queue,
 shortest-queue, or capacity-proportional coin flips), solves for the
 stationary distribution, and turns mean occupancies into per-class mean flow
@@ -16,21 +16,32 @@ axes are factored with minimum-degree ordering, three or more in
 population-level order, in which every transition moves one level up or
 down and the generator is block tridiagonal.
 
-The truncation is one number, the cap on the total population. Arrivals
-from a state at the cap are dropped (loss model), whatever their class and
-area; the probability mass of dropped arrivals is reported per class and
-doubles as the accuracy gauge for the truncation. :func:`solve_model` sizes
-every cap from one prediction, blocking(N) ~ p rho^N, within the state
-budget: the first cap takes the pooled-queue prefactor p = 1 - rho (or, for
-coin-flip routing of SC-only traffic, the tail of two independent queues),
-and a cap that misses the target measures p and steps straight to the cap it
-predicts. In its lattice a class with zero arrival rate has no axis.
+The truncation is the state space itself: a transition whose target is not
+one of its states is dropped (loss model), and the pi-weighted rate of the
+dropped transitions, per class and relative to its arrival rate, is the
+accuracy gauge. The space has two caps. The population cap N bounds the
+total; arrivals from a state at N are dropped, whatever their class and
+area. Under fastest- and shortest-queue routing the band K also bounds the
+carrier imbalance d, the gap between the two sides that the routing rule
+compares (Kuntz, Thomas, Stan & Barahona, SIAM Review 2021, on truncation
+sets; Tweedie, J. Appl. Probab. 1998, on bounds from the mass that leaves
+them). Routing pools the carriers, so pi decays geometrically in d; arrivals
+and departures that would cross the band's edge are dropped, and so are the
+band states that do not communicate with the empty state. Coin-flip routing
+and DC-only traffic have no balance and keep the simplex of totals.
+:func:`solve_model` sizes both caps from measured tails within the state
+budget: the first N takes the pooled-queue prefactor of blocking(N) ~ p rho^N,
+p = 1 - rho (or, for coin-flip routing of SC-only traffic, the tail of two
+independent queues), the first K is a module constant, and a cap whose share
+of the dropped mass misses half the target steps straight to the cap its
+measured tail predicts. In its lattice a class with zero arrival rate has no
+axis.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -45,12 +56,14 @@ from .errors import (
     UnstableSystemError,
 )
 from .model import (
+    AreaSpec,
     CellConfig,
     Policy,
     SystemState,
     TrafficMix,
     mixed_mean_throughput,
     offered_load,
+    sc_balance,
     sc_carrier1_share,
 )
 
@@ -81,19 +94,33 @@ _GMRES_RESTART = 50
 #: growth steps of max_total after which solve_model stops growing the lattice
 _MAX_GROW = 8
 
+#: first band of solve_model under fastest- and shortest-queue routing, and
+#: the shells of d over which a band that misses the target measures the
+#: decay of pi
+_FIRST_BAND = 14
+_DECAY_SHELLS = 2
+
 #: int64 headroom for lattice keys and fastest-queue cross-products
 _INT64_HEADROOM = 2**62
 
 
 @dataclass(frozen=True)
 class Truncation:
-    """Cap on the total population, defining the finite state lattice."""
+    """Caps defining the finite state lattice.
+
+    ``max_total`` caps the total population. ``band``, when set, also caps
+    the carrier imbalance d of fastest- and shortest-queue routing (see
+    :func:`enumerate_states`); None leaves the simplex of totals uncut.
+    """
 
     max_total: int
+    band: int | None = None
 
     def __post_init__(self):
         if self.max_total < 1:
             raise ConfigError(f"max_total must be >= 1, got {self.max_total}")
+        if self.band is not None and self.band < 1:
+            raise ConfigError(f"band must be >= 1, got {self.band}")
 
 
 def _lattice_size(axes: int, max_total: int) -> int:
@@ -118,9 +145,9 @@ class StateSpace:
     The index is bijective: ``index_of(counts[i]) == i``. Each state's key
     reads its counts as the digits of a mixed-radix number, so the keys are
     sorted like the rows. A component's radix is its largest count + 1: on an
-    enumerated lattice that is ``max_total + 1``, or 1 on the axis of a class
+    enumerated simplex that is ``max_total + 1``, or 1 on the axis of a class
     without arrivals. Aggregate count vectors are precomputed for generator
-    assembly.
+    assembly. The rows are the truncation: a state not listed is outside it.
     """
 
     def __init__(self, counts: np.ndarray, trunc: Truncation):
@@ -151,12 +178,16 @@ class StateSpace:
                 return pos
         raise KeyError(f"state {counts} is outside the truncated space")
 
-    def lookup_keys(self, target_keys: np.ndarray) -> np.ndarray:
-        """Indices of states with the given keys; every key must exist."""
-        pos = np.searchsorted(self.keys, target_keys)
-        if not np.all(self.keys[pos] == target_keys):
-            raise AssertionError("generator targeted a state outside the space")
-        return pos
+    def shifted(self, rows: np.ndarray, comp: int, delta: int) -> np.ndarray:
+        """Index of each state in ``rows`` with component ``comp`` moved by
+        ``delta``, or -1 where that state is outside the space."""
+        moved = self.counts[rows, comp] + delta
+        keys = self.keys[rows] + delta * self._strides[comp]
+        pos = np.searchsorted(self.keys, keys)
+        # outside the radix box a key could alias another state's key
+        inside = (moved >= 0) & (moved < self._radix[comp]) & (pos < len(self))
+        inside[inside] = self.keys[pos[inside]] == keys[inside]
+        return np.where(inside, pos, -1)
 
 
 def _free_axes(cfg: CellConfig, traffic: TrafficMix | None) -> np.ndarray:
@@ -166,20 +197,61 @@ def _free_axes(cfg: CellConfig, traffic: TrafficMix | None) -> np.ndarray:
     return np.flatnonzero([sc, sc, dc] * cfg.n_areas)
 
 
+def _exact_totals(area: AreaSpec, max_total: int, *totals: np.ndarray) -> tuple:
+    # exact Python ints where fastest-queue cross-products could pass int64
+    if max(area.ratio_pair) * (max_total + 2) >= _INT64_HEADROOM:
+        return tuple(x.astype(object) for x in totals)
+    return totals
+
+
+def _imbalance(
+    cfg: CellConfig, traffic: TrafficMix | None, policy: Policy, n1, n2, m, max_total: int
+) -> np.ndarray | None:
+    # carrier imbalance d per state: the largest |lhs - rhs| of the routing
+    # balance over the areas whose SC arrivals it routes, in units of
+    # max(a, b) under fastest-queue and of flows under shortest-queue; None
+    # where routing has no balance (coin flips, or no SC arrivals)
+    policy = Policy(policy)
+    if policy is Policy.BERNOULLI:
+        return None
+    routed = {
+        area.ratio_pair: area for j, area in enumerate(cfg.areas)
+        if traffic is None or traffic.area_rates(cfg, j)[0] > 0
+    }
+    d = None
+    for (a, b), area in routed.items():
+        lhs, rhs = sc_balance(policy, area, *_exact_totals(area, max_total, n1, n2, m))
+        unit = max(a, b) if policy is Policy.JFQ else 1
+        d_area = (np.abs(lhs - rhs) / unit).astype(float)
+        d = d_area if d is None else np.maximum(d, d_area)
+        if policy is Policy.JSQ:
+            break  # the same balance in every area
+    return d
+
+
 def enumerate_states(
     cfg: CellConfig,
     trunc: Truncation,
     max_states: int = DEFAULT_STATE_BUDGET,
     *,
     traffic: TrafficMix | None = None,
+    policy: Policy = Policy.JFQ,
 ) -> StateSpace:
-    """All states whose counts sum to at most ``trunc.max_total``.
+    """All states whose counts sum to at most ``trunc.max_total``, within
+    the band ``d <= trunc.band`` when one is set.
 
     With ``traffic`` given, a class with zero arrival rate has no axis: its
-    components stay 0, which leaves the stationary law unchanged. Raises
+    components stay 0, which leaves the stationary law unchanged. The band
+    caps the carrier imbalance that ``policy`` balances (the comparison of
+    :func:`caflow.model.sc_balance`): d is the largest |lhs - rhs| over the
+    areas whose SC arrivals are routed, counted in units of max(a, b) under
+    fastest-queue routing and in flows under shortest-queue routing.
+    Bernoulli routing and traffic without SC arrivals have no balance and
+    keep the simplex; so does a band that cuts no state, and the returned
+    space's truncation then has no band. Raises
     :class:`StateSpaceTooLargeError` (with the largest cap that fits) when the
-    count exceeds ``max_states``, and :class:`ConfigError` when the lattice
-    keys would reach 2**62 and not fit an int64.
+    simplex count exceeds ``max_states``, and :class:`ConfigError` when the
+    lattice keys would reach 2**62 and not fit an int64.
     """
     n_total = trunc.max_total
     free = _free_axes(cfg, traffic)
@@ -212,6 +284,16 @@ def enumerate_states(
         rem = rem[rep] - values
     counts = np.zeros((len(prefix), 3 * cfg.n_areas), dtype=np.int32)
     counts[:, free] = prefix
+    if trunc.band is not None:
+        d = _imbalance(
+            cfg, traffic, policy, counts[:, 0::3].sum(axis=1, dtype=np.int64),
+            counts[:, 1::3].sum(axis=1, dtype=np.int64),
+            counts[:, 2::3].sum(axis=1, dtype=np.int64), n_total,
+        )
+        if d is None or d.max(initial=0.0) <= trunc.band:
+            trunc = Truncation(n_total)
+        else:
+            counts = counts[d <= trunc.band]
     return StateSpace(counts, trunc)
 
 
@@ -225,6 +307,9 @@ class Generator:
 
     Row sums are zero (diagonal holds the negative total outflow) and every
     off-diagonal entry links states that differ by one unit vector.
+    ``dropped`` maps "sc"/"dc" to the per-state rate of that class's
+    transitions (arrivals and departures) whose target is outside the space;
+    a class without an entry drops none.
     """
 
     Q: sp.csr_matrix
@@ -232,6 +317,7 @@ class Generator:
     space: StateSpace
     cfg: CellConfig
     traffic: TrafficMix
+    dropped: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 def build_generator(
@@ -245,69 +331,72 @@ def build_generator(
     Per area j: SC arrivals at the area rate go to the carrier chosen by the
     policy (split half/half on an exact tie); DC arrivals always increment the
     DC count; SC departures occur at count * per-user-rate / sigma per
-    carrier; a DC departure occurs at count * (d1 + d2) / sigma. Arrivals
-    from a state at the population cap are dropped. A :class:`Truncation`
-    is enumerated as the full lattice, every class with its own axes.
+    carrier; a DC departure occurs at count * (d1 + d2) / sigma. The space is
+    the truncation: a transition whose target is not one of its states is
+    dropped, and its rate is recorded per class in ``dropped``. So every
+    arrival from a state at the population cap is dropped, and on a band
+    also the arrivals and departures that would cross its edge. A
+    :class:`Truncation` is enumerated with every class on its own axes, and
+    its band, if any, under ``policy``.
     """
     policy = Policy(policy)
     space = (
         trunc_or_space
         if isinstance(trunc_or_space, StateSpace)
-        else enumerate_states(cfg, trunc_or_space)
+        else enumerate_states(cfg, trunc_or_space, policy=policy)
     )
-    trunc = space.truncation
     n = len(space)
     sigma = traffic.sigma
-    below_cap = space.total < trunc.max_total
     all_rows: list[np.ndarray] = []
     all_cols: list[np.ndarray] = []
     all_data: list[np.ndarray] = []
+    dropped = {"sc": np.zeros(n), "dc": np.zeros(n)}
     idx = np.arange(n, dtype=np.int64)
 
-    def add(rows, cols, data):
-        if len(rows):
-            all_rows.append(rows)
-            all_cols.append(cols)
-            all_data.append(data)
-
-    def targets(sel: np.ndarray, comp: int, delta: int) -> np.ndarray:
-        return space.lookup_keys(space.keys[sel] + delta * space._strides[comp])
+    def add(cls: str, sel: np.ndarray, comp: int, delta: int, rate: np.ndarray):
+        # transitions from the states in sel that move component comp by delta
+        rows = idx[sel]
+        cols = space.shifted(rows, comp, delta)
+        kept = cols >= 0
+        if not kept.all():
+            dropped[cls] += np.bincount(rows[~kept], weights=rate[~kept], minlength=n)
+        if kept.any():
+            all_rows.append(rows[kept])
+            all_cols.append(cols[kept])
+            all_data.append(rate[kept])
 
     for j in range(space.n_areas):
         i1, i2, i3 = 3 * j, 3 * j + 1, 3 * j + 2
         alpha_j, beta_j = traffic.area_rates(cfg, j)
 
         if alpha_j > 0:
-            area = cfg.areas[j]
-            totals = (space.n1, space.n2, space.m)
-            if max(area.ratio_pair) * (trunc.max_total + 2) >= _INT64_HEADROOM:
-                # exact Python ints where fastest-queue cross-products could pass int64
-                totals = tuple(x.astype(object) for x in totals)
-            share = np.broadcast_to(sc_carrier1_share(policy, area, *totals), (n,))
+            totals = _exact_totals(
+                cfg.areas[j], space.truncation.max_total, space.n1, space.n2, space.m
+            )
+            share = np.broadcast_to(sc_carrier1_share(policy, cfg.areas[j], *totals), (n,))
             rate1 = alpha_j * share
             rate2 = alpha_j * (1.0 - share)
-            sel1 = below_cap & (rate1 > 0)
-            add(idx[sel1], targets(sel1, i1, +1), rate1[sel1])
-            sel2 = below_cap & (rate2 > 0)
-            add(idx[sel2], targets(sel2, i2, +1), rate2[sel2])
+            sel1 = rate1 > 0
+            add("sc", sel1, i1, +1, rate1[sel1])
+            sel2 = rate2 > 0
+            add("sc", sel2, i2, +1, rate2[sel2])
 
         if beta_j > 0:
-            add(idx[below_cap], targets(below_cap, i3, +1),
-                np.full(int(below_cap.sum()), beta_j))
+            add("dc", idx, i3, +1, np.full(n, beta_j))
 
         c1, c2 = cfg.areas[j].c1, cfg.areas[j].c2
         sel = space.counts[:, i1] > 0
         if sel.any():
             rate = space.counts[sel, i1] * c1 / ((space.n1[sel] + space.m[sel]) * sigma)
-            add(idx[sel], targets(sel, i1, -1), rate)
+            add("sc", sel, i1, -1, rate)
         sel = space.counts[:, i2] > 0
         if sel.any():
             rate = space.counts[sel, i2] * c2 / ((space.n2[sel] + space.m[sel]) * sigma)
-            add(idx[sel], targets(sel, i2, -1), rate)
+            add("sc", sel, i2, -1, rate)
         sel = space.counts[:, i3] > 0
         if sel.any():
             agg = c1 / (space.n1[sel] + space.m[sel]) + c2 / (space.n2[sel] + space.m[sel])
-            add(idx[sel], targets(sel, i3, -1), space.counts[sel, i3] * agg / sigma)
+            add("dc", sel, i3, -1, space.counts[sel, i3] * agg / sigma)
 
     if all_rows:
         rows = np.concatenate(all_rows)
@@ -322,7 +411,8 @@ def build_generator(
     data = np.concatenate([data, -outflow])
     q_mat = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
     return Generator(
-        Q=q_mat, unif=float(outflow.max(initial=0.0)), space=space, cfg=cfg, traffic=traffic
+        Q=q_mat, unif=float(outflow.max(initial=0.0)), space=space, cfg=cfg, traffic=traffic,
+        dropped=dropped,
     )
 
 
@@ -335,8 +425,8 @@ class StationaryDistribution:
     """Probability vector over a state space plus solver diagnostics.
 
     ``residual`` is the balance-equation residual normalized by the
-    uniformization constant; ``blocking`` maps "sc"/"dc" to the stationary
-    probability that an arrival of that class is dropped at the boundary.
+    uniformization constant; ``blocking`` maps "sc"/"dc" to the
+    :func:`blocking_mass` of that class.
     ``iterations`` is always 0 and ``method`` always "ilu-gmres"; the
     benchmark's tracer still reads both.
     """
@@ -427,32 +517,28 @@ def solve_stationary(gen: Generator) -> StationaryDistribution:
         raise ConvergenceError(
             f"stationary solve failed to reach tol={SOLVE_TOL} (residual {residual:.3e})"
         )
-    dist = StationaryDistribution(
-        pi=x / x.sum(), residual=residual, iterations=0, method="ilu-gmres",
-        blocking={}, space=gen.space, cfg=gen.cfg, traffic=gen.traffic,
+    pi = x / x.sum()
+    return StationaryDistribution(
+        pi=pi, residual=residual, iterations=0, method="ilu-gmres",
+        blocking=blocking_mass(gen, pi), space=gen.space, cfg=gen.cfg, traffic=gen.traffic,
     )
-    object.__setattr__(dist, "blocking", blocking_mass(dist))
-    return dist
 
 
-def blocking_mass(dist: StationaryDistribution) -> dict[str, float]:
-    """Per-class probability that an arrival is dropped at the truncation.
+def blocking_mass(gen: Generator, pi: np.ndarray) -> dict[str, float]:
+    """Per-class share of the arrival rate that the truncation drops.
 
-    Every arrival from a state at the population cap is dropped, whatever
-    its class and area, so each class sums the stationary probability of
-    those states times the share of its arrival rate that the areas carry
-    (1 up to rounding). A class with zero arrival rate has mass 0.
+    Each class divides the pi-weighted rate of its dropped transitions
+    (``gen.dropped``) by its arrival rate. On a simplex only arrivals at the
+    population cap are dropped, all of them, so the mass is the stationary
+    probability of the cap. A band also drops the arrivals and departures
+    that would cross its edge; in equilibrium a class's departures match its
+    arrivals, so the ratio stays a share of the class's flows. A class with
+    zero arrival rate has mass 0. This is the accuracy gauge of both caps.
     """
-    space, cfg = dist.space, dist.cfg
-    at_cap = space.total >= space.truncation.max_total
     out = {}
-    for cls, rate_total in (("sc", dist.traffic.alpha), ("dc", dist.traffic.beta)):
-        if rate_total <= 0:
-            out[cls] = 0.0
-            continue
-        # area rates summed in area order, as fractions of the class rate
-        share = sum(area.q * rate_total for area in cfg.areas) / rate_total
-        out[cls] = float(dist.pi @ np.where(at_cap, share, 0.0))
+    for cls, rate_total in (("sc", gen.traffic.alpha), ("dc", gen.traffic.beta)):
+        rates = gen.dropped.get(cls)
+        out[cls] = float(pi @ rates) / rate_total if rate_total > 0 and rates is not None else 0.0
     return out
 
 
@@ -482,6 +568,7 @@ class SolveDiagnostics:
     method: str
     reliable: bool
     grew: int = 0
+    band: int | None = None
 
     @property
     def blocking_max(self) -> float:
@@ -514,6 +601,7 @@ def _diagnostics(dist: StationaryDistribution, grew: int = 0) -> SolveDiagnostic
         method=dist.method,
         reliable=max(blocking.values(), default=0.0) <= RELIABLE_BLOCKING,
         grew=grew,
+        band=dist.space.truncation.band,
     )
 
 
@@ -558,10 +646,25 @@ def throughputs_from_distribution(
 # one-call driver with truncation auto-grow
 
 
-def _caps_to_target(blocking: float, rho: float, target_blocking: float) -> int:
-    # caps to add to one whose blocking mass is ``blocking`` for the geometric
-    # tail blocking * rho^k to fall to target_blocking / 2
-    return math.ceil(math.log(2.0 * blocking / target_blocking) / -math.log(rho))
+def _steps_to_target(mass: float, decay: float, target_blocking: float) -> int:
+    # steps to add to a cap whose dropped mass is ``mass`` for the geometric
+    # tail mass * decay^k to fall to target_blocking / 2
+    return math.ceil(math.log(2.0 * mass / target_blocking) / -math.log(decay))
+
+
+def _band_steps(dist: StationaryDistribution, policy: Policy, band_mass: float,
+                target_blocking: float) -> int:
+    # steps to add to the band for its dropped mass to fall to half the
+    # target, from the decay of pi over the outermost shells of d (shell k
+    # holds the states with k - 1 < d <= k)
+    space, band = dist.space, dist.space.truncation.band
+    d = _imbalance(dist.cfg, dist.traffic, policy, space.n1, space.n2, space.m,
+                   space.truncation.max_total)
+    shells = np.bincount(np.ceil(d).astype(np.int64), weights=dist.pi, minlength=band + 1)
+    inner, outer = shells[band - _DECAY_SHELLS - 1], shells[band - 1]
+    if not 0.0 < outer < inner:
+        return band
+    return _steps_to_target(band_mass, (outer / inner) ** (1.0 / _DECAY_SHELLS), target_blocking)
 
 
 def initial_max_total(
@@ -587,7 +690,7 @@ def initial_max_total(
         return 10
     if rho >= 1.0:
         return 64
-    n_total = min(max(_caps_to_target(1.0 - rho, rho, target_blocking), 10), 4096)
+    n_total = min(max(_steps_to_target(1.0 - rho, rho, target_blocking), 10), 4096)
     if Policy(policy) is Policy.BERNOULLI and traffic.beta == 0:
         half = target_blocking / 2.0
         while n_total < 4096 and (n_total + 1) * (1.0 - rho) ** 2 * rho**n_total > half:
@@ -610,18 +713,28 @@ def solve_model(
 ) -> tuple[ThroughputReport, StationaryDistribution]:
     """Solve the model end to end, growing the truncation until it is tight.
 
-    Every cap is at most the largest one whose lattice fits ``max_states``.
-    The first is :func:`initial_max_total`. While any blocking mass b at cap
-    N exceeds ``target_blocking`` (at most ``_MAX_GROW`` times), the next cap
-    extrapolates the measured tail b rho^(k - N) to half of the target. A
-    solve at the largest cap that fits is the last one, and its result is
-    flagged unreliable in the diagnostics if blocking is above the
+    The truncation has two caps. The population cap N is at most the largest
+    one whose simplex fits ``max_states``, and the first is
+    :func:`initial_max_total`. Under fastest- and shortest-queue routing of
+    SC arrivals, nearly all of pi sits near carrier balance, so the lattice is
+    also cut to the band d <= K of :func:`enumerate_states`, starting at
+    K = ``_FIRST_BAND``, and then to the states that communicate with the
+    empty state; Bernoulli routing and DC-only traffic keep the simplex. K is
+    not a setting. The blocking mass b (:func:`blocking_mass`) counts what
+    both caps drop: the stationary probability of the cap, and the rest, which
+    crosses the band's edge. While b exceeds ``target_blocking`` (at most
+    ``_MAX_GROW`` times), each cap whose share exceeds half the target steps
+    once to where its measured tail falls to half the target: N from the cap
+    share c by the tail c rho^(k - N), K from the band share by the decay of
+    pi over the outermost shells of d. A solve at the largest N that fits
+    whose band share meets half the target is the last one, and its result
+    is flagged unreliable in the diagnostics if blocking is above the
     reliability gate. Raises :class:`UnstableSystemError` at rho >= 1, where
     blocking at any cap is at least 1 - 1/rho, before enumerating anything,
-    and :class:`StateSpaceTooLargeError` only when not even cap 1 fits. Classes
-    with zero arrival rate get no lattice axis, which leaves the stationary
-    law unchanged. Every solve is one :func:`solve_stationary` call, held to
-    ``SOLVE_TOL``.
+    and :class:`StateSpaceTooLargeError` only when not even cap 1 fits.
+    Classes with zero arrival rate get no lattice axis, which leaves the
+    stationary law unchanged. Every solve is one :func:`solve_stationary`
+    call, held to ``SOLVE_TOL``.
     """
     rho = offered_load(cfg, traffic).rho
     if rho >= 1.0:
@@ -632,11 +745,47 @@ def solve_model(
     if limit is None:
         raise StateSpaceTooLargeError(f"not even max_total=1 fits {max_states} states")
     n_total = min(initial_max_total(cfg, traffic, policy, target_blocking), limit)
+    band = _FIRST_BAND if Policy(policy) is not Policy.BERNOULLI and traffic.alpha > 0 else None
+    half = target_blocking / 2.0
     for grew in range(_MAX_GROW + 1):
-        space = enumerate_states(cfg, Truncation(n_total), max_states, traffic=traffic)
-        result = solve_stationary(build_generator(cfg, traffic, space, policy))
+        gen = _truncated_generator(cfg, traffic, Truncation(n_total, band), policy, max_states)
+        result = solve_stationary(gen)
         blocking = max(result.blocking.values())
-        if n_total == limit or blocking <= target_blocking:
+        if blocking <= target_blocking:
             break
-        n_total = min(n_total + _caps_to_target(blocking, rho, target_blocking), limit)
+        cap_mass, band_mass = blocking, 0.0
+        if result.space.truncation.band is not None:
+            # every arrival at the cap is dropped; the rest leaves the band
+            cap_mass = float(result.pi[result.space.total == n_total].sum())
+            band_mass = blocking - cap_mass
+        next_total, next_band = n_total, band
+        if cap_mass > half and n_total < limit:
+            next_total = min(n_total + _steps_to_target(cap_mass, rho, target_blocking), limit)
+        if band_mass > half:
+            next_band = band + _band_steps(result, policy, band_mass, target_blocking)
+        if (next_total, next_band) == (n_total, band):
+            break
+        n_total, band = next_total, next_band
     return throughputs_from_distribution(result, _diagnostics(result, grew)), result
+
+
+def _truncated_generator(
+    cfg: CellConfig, traffic: TrafficMix, trunc: Truncation, policy: Policy, max_states: int
+) -> Generator:
+    # the generator solve_model solves on the lattice of trunc; a band can cut
+    # every path between the empty state and some of its states, so a band
+    # keeps only the states that the empty state reaches and that reach it
+    # (its communicating class), and the reduced solve stays non-singular
+    space = enumerate_states(cfg, trunc, max_states, traffic=traffic, policy=policy)
+    gen = build_generator(cfg, traffic, space, policy)
+    if space.truncation.band is None:
+        return gen
+    # imported here: callers that never cut a band (the simulator's capacity
+    # queries) skip its import time and memory
+    from scipy.sparse import csgraph
+
+    _, label = csgraph.connected_components(gen.Q, directed=True, connection="strong")
+    keep = label == label[0]
+    if keep.all():
+        return gen
+    return build_generator(cfg, traffic, StateSpace(space.counts[keep], space.truncation), policy)

@@ -37,9 +37,6 @@ from .errors import (
 #: tolerance on exact-by-construction probability identities
 PROB_TOL = 1e-12
 
-#: relative half-width of the "critical" band around load 1
-CRITICAL_EPS = 1e-9
-
 CapacityLike = Union[str, int, float, Fraction]
 
 
@@ -364,7 +361,7 @@ def vb_split(state: SystemState, j: int, cfg: CellConfig, dt: float) -> tuple[fl
 
 
 # ---------------------------------------------------------------------------
-# load, stability, closed-form throughputs
+# load, drift, closed-form throughputs
 
 
 @dataclass(frozen=True)
@@ -396,44 +393,6 @@ def offered_load(cfg: CellConfig, traffic: TrafficMix) -> LoadSummary:
     return LoadSummary(rho=rho, rho_per_area=rho_per_area)
 
 
-class Stability(enum.Enum):
-    STABLE = "stable"
-    CRITICAL = "critical"
-    UNSTABLE = "unstable"
-
-
-_MULTI_AREA_NOTE = (
-    "rho < 1 is necessary for stability; with several areas its sufficiency is "
-    "a conjecture, supported by comparison with capacity-proportional random "
-    "routing, which is stable exactly on rho < 1 and which state-aware routing "
-    "should only improve on."
-)
-
-
-@dataclass(frozen=True)
-class StabilityVerdict:
-    kind: Stability
-    rho: float
-    note: str | None = None
-
-
-def stability_verdict(cfg: CellConfig, traffic: TrafficMix) -> StabilityVerdict:
-    """Classify the offered load against the rho = 1 boundary.
-
-    The critical band is |rho - 1| <= 1e-9, purely to absorb floating-point
-    noise on an otherwise sharp boundary.
-    """
-    rho = offered_load(cfg, traffic).rho
-    if abs(rho - 1.0) <= CRITICAL_EPS:
-        kind = Stability.CRITICAL
-    elif rho < 1.0:
-        kind = Stability.STABLE
-    else:
-        kind = Stability.UNSTABLE
-    note = _MULTI_AREA_NOTE if cfg.n_areas > 1 else None
-    return StabilityVerdict(kind=kind, rho=rho, note=note)
-
-
 def fluid_total_drift(cfg: CellConfig, traffic: TrafficMix) -> float:
     """Net drift of the total backlog volume for a single-area cell (Mbit/s).
 
@@ -461,16 +420,6 @@ def dc_only_throughput(cfg: CellConfig, traffic: TrafficMix, j: int) -> float:
     return cfg.areas[j].c_total * (1.0 - rho)
 
 
-def dc_only_mean_occupancy(cfg: CellConfig, traffic: TrafficMix, j: int) -> float:
-    """Mean number of DC flows in area j for DC-only traffic: rho_j / (1 - rho)."""
-    if traffic.phi != 0:
-        raise ConfigError("closed form requires DC-only traffic (phi = 0)")
-    load = offered_load(cfg, traffic)
-    if load.rho >= 1.0:
-        raise UnstableSystemError(f"no stationary occupancy at rho = {load.rho!r} >= 1")
-    return load.rho_per_area[j] / (1.0 - load.rho)
-
-
 def mixed_mean_throughput(
     gamma_sc_j: float | None, gamma_dc_j: float | None, phi: float
 ) -> float | None:
@@ -493,25 +442,6 @@ def mixed_mean_throughput(
     return phi * gamma_sc_j + (1.0 - phi) * gamma_dc_j
 
 
-def sc_jfq_throughput_approx(cfg: CellConfig, rho: float, j: int) -> float:
-    """Approximate SC throughput under fastest-queue routing: c_max_j * (1 - rho).
-
-    Routing to the fastest carrier makes SC flows behave roughly as if served
-    by a dedicated server of the larger capacity. The max of the two
-    capacities is used rather than a positional label.
-
-    The approximation is exact only in the limit rho -> 0. For carriers
-    (1, 2) it is about 2-3% above the exact throughput at rho <= 0.2 and
-    increasingly below it from rho ~ 0.3 on (about 7% at rho = 0.5, 21% at
-    rho = 0.8), because fastest-queue routing pools both carriers as load
-    grows. The exact throughput never exceeds the ideal-pooling bound
-    (1 - rho) * (c_max + rho * c_min).
-    """
-    if rho >= 1.0:
-        raise UnstableSystemError(f"no stationary throughput at rho = {rho!r} >= 1")
-    return cfg.areas[j].c_max * (1.0 - rho)
-
-
 def theta_approximation(cfg: CellConfig, phi: float, target_gamma_edge: float) -> float:
     """Sustainable traffic intensity for a mean-throughput target at the cell edge.
 
@@ -521,6 +451,15 @@ def theta_approximation(cfg: CellConfig, phi: float, target_gamma_edge: float) -
         theta = c_bar * (1 - target / ((1 - phi) * c_min + c_max))
 
     evaluated in the edge area. A target above the denominator is infeasible.
+
+    The SC term c_max*(1-rho) treats fastest-queue routing as a dedicated
+    server of the larger capacity, which is exact only in the limit
+    rho -> 0. For carriers (1, 2) it is about 2-3% above the exact SC
+    throughput at rho <= 0.2 and increasingly below it from rho ~ 0.3 on
+    (about 7% at rho = 0.5, 21% at rho = 0.8), because fastest-queue routing
+    pools both carriers as load grows; the exact throughput never exceeds the
+    ideal-pooling bound (1 - rho) * (c_max + rho * c_min). Where the SC term
+    is below the exact throughput, the theta returned is conservative.
     """
     if not (0.0 <= phi <= 1.0):
         raise ConfigError(f"SC fraction must lie in [0, 1], got {phi!r}")
@@ -540,30 +479,37 @@ def theta_approximation(cfg: CellConfig, phi: float, target_gamma_edge: float) -
 # SC routing
 
 
-def sc_carrier1_share(policy: Policy, area: AreaSpec, n1, n2, m):
-    """Carrier 1's share of the SC arrivals of ``area`` in a state.
+def sc_balance(policy: Policy, area: AreaSpec, n1, n2, m):
+    """The two sides that state-aware SC routing compares in a state.
 
     ``n1``, ``n2`` and ``m`` are the cell totals of SC users on carrier 1, on
-    carrier 2 and of DC users, as Python ints or numpy integer arrays (the
-    share is then an array). Fastest-queue compares the post-arrival per-user
-    rates c1/(n1+m+1) and c2/(n2+m+1) as the exact integer test
-    a*(n2+m+1) vs b*(n1+m+1) with a/b = c1/c2; shortest-queue compares n1+m
-    with n2+m. The winner gets share 1 or 0 and an exact tie gives 1/2.
-    Bernoulli routing is state-blind and gives c1/(c1+c2).
+    carrier 2 and of DC users, as Python ints or numpy integer arrays.
+    Fastest-queue compares the post-arrival per-user rates c1/(n1+m+1) and
+    c2/(n2+m+1) as the exact integers lhs = a*(n2+m+1) and rhs = b*(n1+m+1)
+    with a/b = c1/c2; shortest-queue compares lhs = n2+m with rhs = n1+m.
+    Carrier 1 wins when lhs > rhs. Bernoulli routing is state-blind and has
+    no balance: None.
     """
     if policy is Policy.JFQ:
         a, b = area.ratio_pair
-        lhs, rhs = a * (n2 + m + 1), b * (n1 + m + 1)
-    elif policy is Policy.JSQ:
-        lhs, rhs = n2 + m, n1 + m
-    elif policy is Policy.BERNOULLI:
+        return a * (n2 + m + 1), b * (n1 + m + 1)
+    if policy is Policy.JSQ:
+        return n2 + m, n1 + m
+    if policy is Policy.BERNOULLI:
+        return None
+    raise ConfigError(f"unknown routing policy {policy!r}")
+
+
+def sc_carrier1_share(policy: Policy, area: AreaSpec, n1, n2, m):
+    """Carrier 1's share of the SC arrivals of ``area`` in a state.
+
+    Arguments are those of :func:`sc_balance` (the share is an array for
+    array counts). Under fastest- and shortest-queue routing the side of the
+    balance that wins gets share 1 or 0 and an exact tie gives 1/2. Bernoulli
+    routing is state-blind and gives c1/(c1+c2).
+    """
+    balance = sc_balance(policy, area, n1, n2, m)
+    if balance is None:
         return area.c1 / (area.c1 + area.c2)
-    else:
-        raise ConfigError(f"unknown routing policy {policy!r}")
+    lhs, rhs = balance
     return (lhs > rhs) + 0.5 * (lhs == rhs)
-
-
-def bernoulli_probabilities(cfg: CellConfig, j: int) -> tuple[float, float]:
-    """Capacity-proportional routing probabilities (p1, p2) for area j."""
-    p1 = sc_carrier1_share(Policy.BERNOULLI, cfg.areas[j], 0, 0, 0)
-    return p1, 1.0 - p1

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse import csgraph
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +22,7 @@ from caflow.ctmc import (
     enumerate_states,
     solve_model,
     solve_stationary,
+    throughputs_from_distribution,
 )
 from caflow.errors import (
     ConfigError,
@@ -497,7 +499,151 @@ def test_blocking_zero_for_empty_traffic():
     traffic = TrafficMix(0.0, 0.0, 1.0)
     gen = build_generator(cfg, traffic, Truncation(max_total=3))
     dist = solve_stationary(gen)
-    assert blocking_mass(dist) == {"sc": 0.0, "dc": 0.0}
+    assert blocking_mass(gen, dist.pi) == {"sc": 0.0, "dc": 0.0}
+
+
+# --- band truncation -----------------------------------------------------------
+
+
+def band_cells():
+    # carriers c1 != c2, so that removing a DC flow moves the balance
+    return st.sampled_from([
+        single(1, 2), single(1, "1.3"), single(2, 1),
+        two_area((10, 14), (1, "1.4")), two_area((1, 2), (1, 3)),
+    ])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    cfg=band_cells(),
+    policy=st.sampled_from([Policy.JFQ, Policy.JSQ]),
+    phi=st.sampled_from([0.5, 1.0]),
+    max_total=st.integers(min_value=4, max_value=9),
+    band=st.integers(min_value=1, max_value=2),
+)
+def test_every_band_state_communicates_with_the_empty_state(cfg, policy, phi, max_total, band):
+    # the reduced solve fixes pi_0 of the empty state, so each state of the
+    # lattice solve_model solves must reach it and be reached from it
+    traffic = TrafficMix(0.5 * harmonic_capacity(cfg), phi, 1.0)
+    gen = ctmc._truncated_generator(
+        cfg, traffic, Truncation(max_total, band), policy, ctmc.DEFAULT_STATE_BUDGET
+    )
+    space = gen.space
+    assert space.total[0] == 0 and space.truncation.band == band
+    assert len(space) < math.comb(max_total + len(ctmc._free_axes(cfg, traffic)), max_total)
+    for graph in (gen.Q, gen.Q.T.tocsr()):
+        reached = csgraph.breadth_first_order(graph, 0, directed=True, return_predecessors=False)
+        assert len(reached) == len(space)
+    assert solve_stationary(gen).residual <= SOLVE_TOL
+
+
+def relative_gamma_gap(report, other, n_areas):
+    gaps = [0.0]
+    for j in range(n_areas):
+        for a, b in ((report.gamma_sc(j), other.gamma_sc(j)),
+                     (report.gamma_dc(j), other.gamma_dc(j))):
+            if a is not None:
+                gaps.append(abs(a / b - 1.0))
+    return max(gaps)
+
+
+def full_lattice_report(cfg, traffic, policy, max_total):
+    space = enumerate_states(cfg, Truncation(max_total), traffic=traffic)
+    dist = solve_stationary(build_generator(cfg, traffic, space, policy))
+    return throughputs_from_distribution(dist), dist
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    case=st.sampled_from([
+        (single(1, 2), 0.5, 0.7), (single(1, 2), 1.0, 0.8), (single(1, "1.3"), 0.5, 0.5),
+        (single(2, 1), 1.0, 0.7), (two_area((10, 14), (1, "1.4")), 1.0, 0.5),
+        (two_area((1, 2), (1, 3)), 0.5, 0.3),
+    ]),
+    policy=st.sampled_from([Policy.JFQ, Policy.JSQ]),
+)
+def test_band_solve_matches_the_full_lattice(case, policy):
+    cfg, phi, rho = case
+    traffic = TrafficMix(rho * harmonic_capacity(cfg), phi, 1.0)
+    report, dist = solve_model(cfg, traffic, policy)
+    diag = report.diagnostics
+    assert diag.band is not None and diag.blocking_max <= 1e-8
+    full, full_dist = full_lattice_report(cfg, traffic, policy, diag.max_total)
+    assert len(dist.space) < len(full_dist.space)
+    assert relative_gamma_gap(report, full, cfg.n_areas) <= 1e-6
+
+
+def test_a_band_that_misses_the_target_grows_from_the_measured_tail():
+    # SC-only fastest-queue routing on equal carriers at rho = 0.9: the
+    # first band drops more than half the target, and one step sized from
+    # the decay of pi over its outer shells meets it
+    cfg, traffic = single(1, 1), TrafficMix(1.8, 1.0, 1.0)
+    report, _ = solve_model(cfg, traffic, Policy.JFQ)
+    diag = report.diagnostics
+    assert diag.grew == 1 and diag.band > ctmc._FIRST_BAND
+    assert diag.blocking_max <= 1e-8
+    full, _ = full_lattice_report(cfg, traffic, Policy.JFQ, diag.max_total)
+    assert relative_gamma_gap(report, full, 1) <= 1e-6
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    cfg=band_cells(),
+    rho=st.sampled_from([0.3, 0.6]),
+    case=st.sampled_from([(Policy.BERNOULLI, 0.5), (Policy.BERNOULLI, 1.0),
+                          (Policy.JFQ, 0.0), (Policy.JSQ, 0.0)]),
+)
+def test_coin_flips_and_dc_only_traffic_keep_the_simplex(cfg, rho, case):
+    # no balance to band: Q and pi are those of the plain simplex, bit for bit
+    policy, phi = case
+    traffic = TrafficMix(rho * harmonic_capacity(cfg), phi, 1.0)
+    report, dist = solve_model(cfg, traffic, policy, max_states=20_000)
+    n_total = report.diagnostics.max_total
+    assert report.diagnostics.band is None
+    simplex = build_generator(
+        cfg, traffic, enumerate_states(cfg, Truncation(n_total), traffic=traffic), policy
+    )
+    banded = build_generator(
+        cfg, traffic,
+        enumerate_states(cfg, Truncation(n_total, 1), traffic=traffic, policy=policy), policy,
+    )
+    assert np.array_equal(banded.space.counts, simplex.space.counts)
+    for q in (banded.Q, ctmc._truncated_generator(
+            cfg, traffic, Truncation(n_total, 1), policy, 20_000).Q):
+        assert (np.array_equal(q.indptr, simplex.Q.indptr)
+                and np.array_equal(q.indices, simplex.Q.indices)
+                and np.array_equal(q.data, simplex.Q.data))
+    assert np.array_equal(dist.pi, solve_stationary(simplex).pi)
+
+
+def test_band_blocking_counts_the_transitions_it_drops():
+    # one area (1, 2) under fastest-queue routing, cap 6 and band 1: each
+    # class's mass is the pi-weighted rate of its transitions whose target
+    # is not a state of the band, over the class's arrival rate
+    cfg, traffic = single(1, 2), TrafficMix(1.5, 0.5, 1.0)
+    gen = ctmc._truncated_generator(cfg, traffic, Truncation(6, 1), Policy.JFQ, 1000)
+    dist = solve_stationary(gen)
+    space = gen.space
+    dropped = {"sc": 0.0, "dc": 0.0}
+    for i, (n1, n2, m) in enumerate(space.counts.tolist()):
+        p1 = sc_carrier1_share(Policy.JFQ, cfg.areas[0], n1, n2, m)
+        moves = [((1, 0, 0), "sc", traffic.alpha * p1), ((0, 1, 0), "sc", traffic.alpha * (1 - p1)),
+                 ((0, 0, 1), "dc", traffic.beta)]
+        if n1:
+            moves.append(((-1, 0, 0), "sc", n1 * 1.0 / (n1 + m)))
+        if n2:
+            moves.append(((0, -1, 0), "sc", n2 * 2.0 / (n2 + m)))
+        if m:
+            moves.append(((0, 0, -1), "dc", m * (1.0 / (n1 + m) + 2.0 / (n2 + m))))
+        for step, cls, rate in moves:
+            try:
+                space.index_of(tuple(c + s for c, s in zip((n1, n2, m), step)))
+            except KeyError:
+                dropped[cls] += dist.pi[i] * rate
+    assert dist.blocking["sc"] == pytest.approx(dropped["sc"] / traffic.alpha, rel=1e-12)
+    assert dist.blocking["dc"] == pytest.approx(dropped["dc"] / traffic.beta, rel=1e-12)
+    at_cap = float(dist.pi[space.total == 6].sum())
+    assert min(dist.blocking.values()) > at_cap
 
 
 # --- throughputs -----------------------------------------------------------------

@@ -15,12 +15,10 @@ from caflow.errors import (
 from caflow.model import (
     AreaSpec,
     CellConfig,
-    Stability,
+    Policy,
     SystemState,
     TrafficMix,
-    bernoulli_probabilities,
     dc_aggregate_rate,
-    dc_only_mean_occupancy,
     dc_only_throughput,
     fluid_total_drift,
     harmonic_capacity,
@@ -28,8 +26,7 @@ from caflow.model import (
     offered_load,
     per_user_rates,
     ring_area_probabilities,
-    sc_jfq_throughput_approx,
-    stability_verdict,
+    sc_carrier1_share,
     theta_approximation,
     vb_split,
 )
@@ -327,20 +324,6 @@ def test_offered_load_additivity(caps, lam, phi):
     assert abs(load.rho - math.fsum(load.rho_per_area)) <= 1e-12
 
 
-def test_stability_verdicts():
-    cfg = single(1, 1)
-    assert stability_verdict(cfg, TrafficMix(1.0, 0.5, 1.0)).kind is Stability.STABLE
-    assert stability_verdict(cfg, TrafficMix(2.0, 0.5, 1.0)).kind is Stability.CRITICAL
-    assert stability_verdict(cfg, TrafficMix(2.4, 0.5, 1.0)).kind is Stability.UNSTABLE
-
-
-def test_stability_note_only_for_multi_area():
-    assert stability_verdict(single(1, 1), TrafficMix(1.0, 0.5, 1.0)).note is None
-    cfg = two_area((10, 10), (1, 1))
-    verdict = stability_verdict(cfg, TrafficMix(1.0, 0.5, 1.0))
-    assert verdict.note is not None and "conjecture" in verdict.note
-
-
 def test_fluid_total_drift():
     cfg = single(1, 1)
     assert fluid_total_drift(cfg, TrafficMix(1.5, 0.5, 1.0)) == pytest.approx(-0.5)
@@ -369,29 +352,6 @@ def test_dc_only_throughput_guards():
         dc_only_throughput(cfg, TrafficMix(1.0, 0.5, 1.0), 0)
 
 
-def test_dc_only_mean_occupancy():
-    cfg = two_area((1, 1), (1, 1))
-    # rho_j = 0.5 * 0.8 / 2 = 0.2 each, rho = 0.4: E[m_j] = 0.2 / 0.6 = 1/3
-    traffic = TrafficMix(0.8, 0.0, 1.0)
-    assert dc_only_mean_occupancy(cfg, traffic, 0) == pytest.approx(1.0 / 3.0)
-    cfg1 = single(1, 1)
-    assert dc_only_mean_occupancy(cfg1, TrafficMix(1.0, 0.0, 1.0), 0) == pytest.approx(1.0)
-    assert dc_only_mean_occupancy(cfg1, TrafficMix(0.0, 0.0, 1.0), 0) == 0.0
-
-
-@given(
-    st.floats(min_value=0.05, max_value=0.95),
-    st.floats(min_value=0.1, max_value=20.0),
-    st.floats(min_value=0.1, max_value=20.0),
-)
-def test_littles_law_links_occupancy_and_throughput(rho, c1, c2):
-    cfg = single(c1, c2)
-    traffic = TrafficMix(rho * (c1 + c2), 0.0, 1.0)
-    occupancy = dc_only_mean_occupancy(cfg, traffic, 0)
-    gamma = traffic.beta * traffic.sigma / occupancy
-    assert gamma == pytest.approx(dc_only_throughput(cfg, traffic, 0), rel=1e-9)
-
-
 def test_mixed_mean_throughput():
     assert mixed_mean_throughput(1.0, 2.0, 0.5) == pytest.approx(1.5)
     assert mixed_mean_throughput(1.0, 2.0, 1.0) == 1.0
@@ -401,14 +361,6 @@ def test_mixed_mean_throughput():
     assert mixed_mean_throughput(None, 2.0, 0.0) == 2.0
     assert mixed_mean_throughput(None, 2.0, 0.5) is None
     assert mixed_mean_throughput(1.0, None, 0.0) is None
-
-
-def test_sc_jfq_throughput_approx():
-    assert sc_jfq_throughput_approx(single(1, 2), 0.5, 0) == pytest.approx(1.0)
-    assert sc_jfq_throughput_approx(single(1, 2), 0.0, 0) == pytest.approx(2.0)
-    assert sc_jfq_throughput_approx(single(10, 14), 0.25, 0) == pytest.approx(10.5)
-    with pytest.raises(UnstableSystemError):
-        sc_jfq_throughput_approx(single(1, 2), 1.0, 0)
 
 
 # --- sustainable-intensity approximation --------------------------------------
@@ -454,8 +406,9 @@ def test_theta_monotone_in_target_and_phi(phi_a, phi_b, target_a, target_b):
 
 
 def test_bernoulli_probabilities():
-    assert bernoulli_probabilities(single(1, 2), 0) == pytest.approx((1.0 / 3.0, 2.0 / 3.0))
-    assert bernoulli_probabilities(single(3, 3), 0) == (0.5, 0.5)
-    p1, p2 = bernoulli_probabilities(single(10, 14), 0)
-    assert p1 == pytest.approx(5.0 / 12.0)
-    assert p2 == pytest.approx(7.0 / 12.0)
+    def share(c1, c2):
+        return sc_carrier1_share(Policy.BERNOULLI, single(c1, c2).areas[0], 0, 0, 0)
+
+    assert share(1, 2) == pytest.approx(1.0 / 3.0)
+    assert share(3, 3) == 0.5
+    assert share(10, 14) == pytest.approx(5.0 / 12.0)
