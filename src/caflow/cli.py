@@ -526,6 +526,8 @@ def run_capacity(
 ) -> Path:
     """Capacity of a preset (simulator seed ``seed``) or of ``spec`` (its own seed)."""
     if scenario is not None:
+        if spec is not None or target is not None:
+            raise ConfigError("capacity takes --scenario or --config with --target, not both")
         result = capacity_mod.solve_preset(
             scenario, phi, evaluator=evaluator, seed=seed, rel_tol=tolerance
         )
@@ -924,6 +926,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _non_negative_flag(flag: str, value: int) -> int:
+    # the config's rule for ``seed``, applied to a command-line flag
+    try:
+        return _integer(0, "non-negative")(value)
+    except ValueError as exc:
+        raise ConfigError(f"{flag}: {exc}") from None
+
+
 def _number_list(flag: str, text: str) -> tuple[float, ...]:
     try:
         return tuple(float(x) for x in text.split(","))
@@ -937,6 +947,8 @@ def main(argv=None) -> int:
     try:
         if args.command == "validate":
             return run_validate()
+        if args.seed is not None:
+            _non_negative_flag("--seed", args.seed)
 
         if args.command == "capacity":
             spec = parse_config(args.config) if args.config else None
@@ -970,7 +982,7 @@ def main(argv=None) -> int:
             path = run_simulate(
                 spec, out_dir,
                 completions=args.completions, horizon=args.horizon,
-                trace_limit=args.trace_limit,
+                trace_limit=_non_negative_flag("--trace-limit", args.trace_limit),
             )
         elif args.command == "sweep":
             rhos = _number_list("--rhos", args.rhos)

@@ -19,17 +19,14 @@ state's counts packed as the digits of one integer. An entry is the state's
 event table: the total rate, one cut point per event, and each event's
 action (the flow group it joins or leaves, and the key's change), with an
 SC arrival's carrier already routed, or, on a routing tie and under
-Bernoulli, left to a uniform drawn at the event. The reference pick of an
-event is a scan that walks the rates, subtracting each one that the draw
-passes. Since a rounded subtraction is monotone in its first operand, the
-scan's pick never falls as the draw grows, so each event has a smallest
-draw that reaches it; the cuts are those exact floats, found from the
-running sum by whole-ulp steps (the running sum itself would differ at some
-of them). Bisection over the cuts therefore picks the scan's event, and the
-path, its draws and its floats are those of the scan. The loop keeps no
-counts per event: on a memo miss they are read off the key (or stepped
-from the previous miss). States past the memo's bound are computed afresh
-at each visit and picked by the scan.
+Bernoulli, left to a uniform drawn at the event. An event is picked by the
+direct method: the first event whose running sum of rates exceeds the draw
+(a uniform times the total rate). The cuts are those running sums, so
+bisection over them and a scan that adds the rates one by one make the same
+float additions and pick the same event. The loop keeps no counts per
+event: on a memo miss they are read off the key (or stepped from the
+previous miss). States past the memo's bound are computed afresh at each
+visit and picked by the scan.
 
 Per-flow sojourns are recovered from the count process: in a symmetric
 (processor-sharing) queue every customer of a class is exchangeable, so the
@@ -49,6 +46,7 @@ import math
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 from scipy.special import stdtrit
@@ -221,10 +219,10 @@ class Trajectory:
     and kept in a memo keyed by the state's counts, for at most
     ``_MEMO_STATES`` (8,192) states per trajectory; a state met again picks
     its event by bisection on the cuts, and states past the bound recompute
-    their rates and scan them at every visit. The cuts are exact: at every
-    draw the bisection picks the event the scan picks, and a routing tie or
-    Bernoulli arrival takes its uniform at the event either way, so the memo
-    changes no draw and no answer.
+    their rates and scan them at every visit. The cuts are the scan's
+    running sums: at every draw the bisection picks the event the scan
+    picks, and a routing tie or Bernoulli arrival takes its uniform at the
+    event either way, so the memo changes no draw and no answer.
     """
 
     def __init__(
@@ -518,12 +516,13 @@ def _key_counts(key: int, n_areas: int) -> tuple[list[list[int]], list[int]]:
 
 def _scan(rates: list[float], u: float) -> int:
     """The event that the draw ``u`` (a uniform times the total rate) picks:
-    walk the rates, subtracting each one that ``u`` passes."""
+    the first whose running sum of the rates exceeds ``u``."""
+    total = 0.0
     chosen = 0
     for chosen, r in enumerate(rates):
-        if u < r:
+        total += r
+        if u < total:
             break
-        u -= r
     while rates[chosen] <= 0.0:  # guard against roundoff walking past the end
         chosen -= 1
     return chosen
@@ -531,34 +530,12 @@ def _scan(rates: list[float], u: float) -> int:
 
 def _cuts(rates: list[float]) -> list[float]:
     """Cut points at which ``bisect_right(cuts, u)`` equals ``_scan(rates, u)``
-    for every u >= 0.
-
-    ``cuts[k - 1]`` is the smallest u >= 0 at which the scan picks an event
-    k or later. The scan's pick never falls as u grows (a rounded
-    subtraction is monotone in its first operand), so each cut exists and
-    bisection counts the cuts at or below u. Past the last positive rate no
-    u reaches a cut (the guard walks back): those cuts are inf. After a zero
-    rate the cut repeats. Any other cut starts at the running sum of the
-    rates before k and moves by whole ulps until the scan agrees.
-    """
-    last = max((k for k, r in enumerate(rates) if r > 0.0), default=-1)
-    cuts = []
-    total = cut = 0.0
-    for k in range(1, len(rates)):
-        rate = rates[k - 1]
-        total += rate
-        if k > last:
-            cut = math.inf
-        elif rate > 0.0:
-            cut = total
-            if _scan(rates, cut) >= k:
-                while cut > 0.0 and _scan(rates, below := math.nextafter(cut, -math.inf)) >= k:
-                    cut = below
-            else:
-                cut = math.nextafter(cut, math.inf)
-                while _scan(rates, cut) < k:
-                    cut = math.nextafter(cut, math.inf)
-        cuts.append(cut)
+    for every u >= 0: the running sums that the scan compares ``u`` with,
+    added in the same order, so the two agree float for float. Past the last
+    positive rate the scan's guard walks back, so those cuts are inf."""
+    last = max((k for k, r in enumerate(rates) if r > 0.0), default=0)
+    cuts = list(accumulate(rates[:-1]))
+    cuts[last:] = [math.inf] * len(cuts[last:])
     return cuts
 
 

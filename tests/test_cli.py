@@ -242,6 +242,15 @@ def test_main_simulate_emits_estimates_and_trace(tmp_path):
     assert len(trace) > 20
 
 
+def test_main_simulate_rejects_a_negative_trace_limit(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "simulate", lambda *a, **k: pytest.fail("the run started"))
+    cfg = write_cfg(tmp_path, MINIMAL)
+    rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path), "--trace-limit", "-5"])
+    assert rc == 1
+    assert capsys.readouterr().err == "--trace-limit: must be a non-negative integer, got -5\n"
+    assert not (tmp_path / "simulate.csv").exists()
+
+
 @pytest.mark.parametrize("horizon", ["nan", "inf"])
 def test_main_simulate_refuses_a_horizon_it_never_reaches(tmp_path, capsys, monkeypatch, horizon):
     # with no completion target such a run would never stop; it is refused
@@ -318,6 +327,18 @@ def test_main_capacity_needs_target_or_scenario(tmp_path, capsys):
     assert "target" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [["--target", "0.5"], ["--config", "{cfg}"],
+                                   ["--config", "{cfg}", "--target", "0.5"]])
+def test_main_capacity_scenario_takes_no_target_or_config(tmp_path, capsys, monkeypatch, flags):
+    # a preset bundles its own cell and target, so a mix of the two forms is refused
+    monkeypatch.setattr(cli.capacity_mod, "solve_preset", lambda *a, **k: pytest.fail("ran"))
+    cfg = str(write_cfg(tmp_path, MINIMAL))
+    argv = ["capacity", "--scenario", "dc-hsdpa", "--phi", "1", "--out", str(tmp_path)]
+    assert main(argv + [flag.format(cfg=cfg) for flag in flags]) == 1
+    assert "--scenario or --config with --target, not both" in capsys.readouterr().err
+    assert not (tmp_path / "capacity.csv").exists()
+
+
 def test_main_capacity_infeasible_target_is_a_config_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, MINIMAL)
     rc = main(["capacity", "--config", str(cfg), "--phi", "0.5", "--target", "100",
@@ -362,6 +383,28 @@ def test_main_capacity_config_seed_is_the_default_and_seed_overrides_it(tmp_path
     assert "# seed=7" in (tmp_path / "own" / "capacity.csv").read_text().splitlines()
     assert main(argv + ["--seed", "3", "--out", str(tmp_path / "flag")]) == 0
     assert "# seed=3" in (tmp_path / "flag" / "capacity.csv").read_text().splitlines()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--config", "{cfg}"],
+        ["simulate", "--config", "{cfg}", "--completions", "100"],
+        ["sweep", "--config", "{cfg}", "--rhos", "0.5"],
+        ["capacity", "--config", "{cfg}", "--phi", "0", "--target", "0.4"],
+        ["capacity", "--scenario", "dc-hsdpa", "--phi", "0.5"],
+        ["reproduce", "fig3"],
+    ],
+    ids=["solve", "simulate", "sweep", "capacity-config", "capacity-scenario", "reproduce"],
+)
+def test_main_rejects_a_negative_seed_flag(tmp_path, capsys, argv):
+    # the config's rule for ``seed`` holds for the flag that overrides it
+    cfg = str(write_cfg(tmp_path, MINIMAL))
+    out = tmp_path / "out"
+    argv = [arg.format(cfg=cfg) for arg in argv] + ["--seed", "-1", "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "--seed: must be a non-negative integer, got -1\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
