@@ -23,7 +23,6 @@ from .errors import (
 from .model import (
     AreaSpec,
     CellConfig,
-    LoadSummary,
     Policy,
     SystemState,
     TrafficMix,

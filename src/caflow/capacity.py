@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .ctmc import first_lattice_states, solve_model
-from .errors import ConfigError, InfeasibleTargetError
+from .errors import ConfigError, ConvergenceError, InfeasibleTargetError
 from .model import (
     AreaSpec,
     CellConfig,
@@ -203,6 +203,13 @@ def _make_evaluator(query: CapacityQuery, gamma_tol: float):
             if abs(gamma - query.target_gamma) > half or half <= gamma_tol / 2.0:
                 break
             completions *= 2
+        if gamma is None:
+            kind = "dc" if sc is None or sc.gamma_hat is not None else "sc"
+            raise ConvergenceError(
+                f"simulator probe at theta={theta:.6g}: after {run.completions} completions, "
+                f"{rep.estimates[(kind, area)].completions} post-warmup {kind.upper()} "
+                f"completions in area {area + 1} are too few to estimate the edge throughput"
+            )
         return Probe(theta=theta, gamma=gamma)
 
     return probe_sim

@@ -51,10 +51,8 @@ from .ctmc import (
 from .errors import (
     CaflowError,
     ConfigError,
-    ConvergenceError,
-    DegenerateSolveError,
     InfeasibleTargetError,
-    StateSpaceTooLargeError,
+    StateSpaceTooLargeError,  # noqa: F401  tests/test_cli.py raises it by this name
     UnstableSystemError,
 )
 from .model import (
@@ -175,7 +173,7 @@ _SCALARS = {
 
 
 def parse_config_text(text: str, source: str = "<config>") -> RunSpec:
-    entries: dict[str, tuple[int, str]] = {}
+    entries: dict[str | tuple[int, str], tuple[int, str]] = {}
     problems: list[tuple[int | None, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -185,13 +183,16 @@ def parse_config_text(text: str, source: str = "<config>") -> RunSpec:
             problems.append((lineno, f"expected 'key = value', got {raw.strip()!r}"))
             continue
         key, value = (part.strip() for part in line.split("=", 1))
-        if not (_AREA_KEY.match(key) or key in _SCALARS or key == "geometry.radii"):
+        area_key = _AREA_KEY.match(key)
+        if not (area_key or key in _SCALARS or key == "geometry.radii"):
             problems.append((lineno, f"unknown key {key!r}"))
             continue
-        if key in entries:
-            problems.append((lineno, f"duplicate key {key!r} (first set on line {entries[key][0]})"))
+        # an area key is its parsed (index, field): areas.01.c1 is areas.1.c1
+        slot = (int(area_key.group(1)), area_key.group(2)) if area_key else key
+        if slot in entries:
+            problems.append((lineno, f"duplicate key {key!r} (first set on line {entries[slot][0]})"))
             continue
-        entries[key] = (lineno, value)
+        entries[slot] = (lineno, value)
 
     def parse(key, item, parser):
         try:
@@ -202,11 +203,10 @@ def parse_config_text(text: str, source: str = "<config>") -> RunSpec:
 
     # areas
     area_items: dict[int, dict[str, tuple[int, str]]] = {}
-    for key in list(entries):
-        match = _AREA_KEY.match(key)
-        if match:
-            idx = int(match.group(1))
-            area_items.setdefault(idx, {})[match.group(2)] = entries.pop(key)
+    for slot in list(entries):
+        if isinstance(slot, tuple):
+            idx, name = slot
+            area_items.setdefault(idx, {})[name] = entries.pop(slot)
     radii_item = entries.pop("geometry.radii", None)
     radii = None
     if radii_item is not None:
@@ -220,8 +220,7 @@ def parse_config_text(text: str, source: str = "<config>") -> RunSpec:
     if not area_items:
         problems.append((None, "no areas defined (need areas.1.c1, areas.1.c2, ...)"))
     else:
-        expected = list(range(1, max(area_items) + 1))
-        if sorted(area_items) != expected:
+        if sorted(area_items) != list(range(1, len(area_items) + 1)):
             problems.append((None, f"area indices must be 1..{len(area_items)} without gaps"))
         ring_qs = None
         if radii is not None and len(radii) == len(area_items):
@@ -342,13 +341,16 @@ def _cell(value) -> str:
 
 
 def write_csv(path: Path, meta: list[tuple[str, str]], columns: list[str], rows) -> Path:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for key, value in meta:
-            fh.write(f"# {key}={value}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_cell(v) for v in row) + "\n")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            for key, value in meta:
+                fh.write(f"# {key}={value}\n")
+            fh.write(",".join(columns) + "\n")
+            for row in rows:
+                fh.write(",".join(_cell(v) for v in row) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
     return path
 
 
@@ -398,7 +400,7 @@ def _solve_row(spec_policy, traffic, rho, report) -> list:
 
 def run_solve(spec: RunSpec, out_dir: Path) -> Path:
     report, _ = solve_model(spec.cfg, spec.traffic, spec.policy)
-    rho = offered_load(spec.cfg, spec.traffic).rho
+    rho = offered_load(spec.cfg, spec.traffic)
     meta = _meta(
         "solve", _config_summary(spec.cfg), spec.policy.value, "ctmc",
         f"max_total={report.diagnostics.max_total}", spec.seed,
@@ -428,7 +430,7 @@ def run_simulate(
         seed=spec.seed,
         collect_trace=trace_limit,
     )
-    rho = offered_load(spec.cfg, spec.traffic).rho
+    rho = offered_load(spec.cfg, spec.traffic)
     cols = ["policy", "lambda", "phi", "sigma", "rho", "seed"]
     row: list = [spec.policy.value, spec.traffic.lambda_total, spec.traffic.phi,
                  spec.traffic.sigma, rho, spec.seed]
@@ -879,8 +881,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config_required=True):
-        p.add_argument("--config", required=config_required, help="key=value config file")
+    def add_common(p):
+        p.add_argument("--config", required=True, help="key=value config file")
         p.add_argument("--out", default="out", help="output directory (default: out)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
 
@@ -984,13 +986,10 @@ def main(argv=None) -> int:
                 completions=args.completions, horizon=args.horizon,
                 trace_limit=_non_negative_flag("--trace-limit", args.trace_limit),
             )
-        elif args.command == "sweep":
+        else:
             rhos = _number_list("--rhos", args.rhos)
             phis = _number_list("--phis", args.phis) if args.phis else (spec.traffic.phi,)
             path = run_sweep(spec, SweepGrid(rhos=rhos, phis=phis), out_dir)
-        else:  # pragma: no cover
-            parser.error(f"unhandled command {args.command}")
-            return 2
         print(path)
         return 0
     except (ConfigError, InfeasibleTargetError) as exc:
@@ -999,7 +998,7 @@ def main(argv=None) -> int:
     except UnstableSystemError as exc:
         print(f"{exc}; `caflow simulate` samples an overloaded cell", file=sys.stderr)
         return 2
-    except (StateSpaceTooLargeError, ConvergenceError, DegenerateSolveError) as exc:
+    except CaflowError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

@@ -59,7 +59,6 @@ from .model import (
     AreaSpec,
     CellConfig,
     Policy,
-    SystemState,
     TrafficMix,
     mixed_mean_throughput,
     offered_load,
@@ -158,7 +157,6 @@ class StateSpace:
         self.n2 = counts[:, 1::3].sum(axis=1, dtype=np.int64)
         self.m = counts[:, 2::3].sum(axis=1, dtype=np.int64)
         self.total = self.n1 + self.n2 + self.m
-        self.sc_total = self.n1 + self.n2
         self._radix = (counts.max(axis=0).astype(np.int64) + 1).tolist()
         strides = [math.prod(self._radix[i + 1 :]) for i in range(len(self._radix))]
         self._strides = np.array(strides, dtype=np.int64)
@@ -167,8 +165,8 @@ class StateSpace:
     def __len__(self) -> int:
         return self.counts.shape[0]
 
-    def index_of(self, state: SystemState | Sequence[int]) -> int:
-        counts = state.counts if isinstance(state, SystemState) else tuple(int(c) for c in state)
+    def index_of(self, state: Sequence[int]) -> int:
+        counts = tuple(int(c) for c in state)
         # outside the radix box a key could alias another state's key
         if len(counts) == len(self._radix) and all(
             0 <= c < r for c, r in zip(counts, self._radix)
@@ -260,8 +258,7 @@ def enumerate_states(
         fits = _suggest_max_total(len(free), n_total, max_states)
         raise StateSpaceTooLargeError(
             f"{expected} states exceed the budget of {max_states}; "
-            f"largest cap that fits is max_total={fits}",
-            suggested_max_total=fits,
+            f"largest cap that fits is max_total={fits}"
         )
     keys = (n_total + 1) ** len(free)
     if keys >= _INT64_HEADROOM:
@@ -685,7 +682,7 @@ def initial_max_total(
     that tail meets the same half-target. The cap is clamped to [10, 4096] and
     not capped by any state budget.
     """
-    rho = offered_load(cfg, traffic).rho
+    rho = offered_load(cfg, traffic)
     if rho <= 0.0:
         return 10
     if rho >= 1.0:
@@ -715,11 +712,13 @@ def solve_model(
 
     The truncation has two caps. The population cap N is at most the largest
     one whose simplex fits ``max_states``, and the first is
-    :func:`initial_max_total`. Under fastest- and shortest-queue routing of
-    SC arrivals, nearly all of pi sits near carrier balance, so the lattice is
-    also cut to the band d <= K of :func:`enumerate_states`, starting at
-    K = ``_FIRST_BAND``, and then to the states that communicate with the
-    empty state; Bernoulli routing and DC-only traffic keep the simplex. K is
+    :func:`initial_max_total`. Every solve also asks for the band d <= K of
+    :func:`enumerate_states`, starting at K = ``_FIRST_BAND``, and the lattice
+    decides whether it cuts: under fastest- and shortest-queue routing of SC
+    arrivals nearly all of pi sits near carrier balance, so the band cuts,
+    and the lattice then keeps the states that communicate with the empty
+    state; Bernoulli routing and traffic without SC arrivals have no balance
+    and keep the simplex. K is
     not a setting. The blocking mass b (:func:`blocking_mass`) counts what
     both caps drop: the stationary probability of the cap, and the rest, which
     crosses the band's edge. While b exceeds ``target_blocking`` (at most
@@ -736,7 +735,7 @@ def solve_model(
     stationary law unchanged. Every solve is one :func:`solve_stationary`
     call, held to ``SOLVE_TOL``.
     """
-    rho = offered_load(cfg, traffic).rho
+    rho = offered_load(cfg, traffic)
     if rho >= 1.0:
         raise UnstableSystemError(
             f"offered load rho = {rho:.6g} >= 1: the cell has no stationary regime to solve"
@@ -745,7 +744,7 @@ def solve_model(
     if limit is None:
         raise StateSpaceTooLargeError(f"not even max_total=1 fits {max_states} states")
     n_total = min(initial_max_total(cfg, traffic, policy, target_blocking), limit)
-    band = _FIRST_BAND if Policy(policy) is not Policy.BERNOULLI and traffic.alpha > 0 else None
+    band = _FIRST_BAND
     half = target_blocking / 2.0
     for grew in range(_MAX_GROW + 1):
         gen = _truncated_generator(cfg, traffic, Truncation(n_total, band), policy, max_states)

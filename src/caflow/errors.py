@@ -6,7 +6,8 @@ class CaflowError(Exception):
 
 
 class ConfigError(CaflowError, ValueError):
-    """Invalid configuration: bad geometry, broken invariants, parse failures.
+    """Invalid input: bad geometry, broken invariants, parse failures, a path
+    that cannot be read or written.
 
     ``diagnostics`` optionally carries (line_number, message) pairs from the
     config parser; line_number is None for whole-file problems.
@@ -34,18 +35,11 @@ class InfeasibleTargetError(CaflowError, ValueError):
 
 
 class StateSpaceTooLargeError(CaflowError, RuntimeError):
-    """Enumeration would exceed the configured state budget.
-
-    ``suggested_max_total`` is the largest population cap that fits.
-    """
-
-    def __init__(self, message, suggested_max_total=None):
-        super().__init__(message)
-        self.suggested_max_total = suggested_max_total
+    """Enumeration would exceed the configured state budget."""
 
 
 class ConvergenceError(CaflowError, RuntimeError):
-    """Stationary solve failed to reach the residual tolerance."""
+    """A stationary solve or a simulator probe failed to reach an estimate."""
 
 
 class DegenerateSolveError(CaflowError, RuntimeError):

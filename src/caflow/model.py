@@ -176,14 +176,6 @@ class CellConfig:
     def single_area(cls, c1: CapacityLike, c2: CapacityLike) -> "CellConfig":
         return cls(areas=(AreaSpec(c1, c2, 1.0),))
 
-    @classmethod
-    def from_radii(
-        cls, capacities: Sequence[tuple[CapacityLike, CapacityLike]], radii: Sequence[float]
-    ) -> "CellConfig":
-        qs = ring_area_probabilities(radii)
-        areas = tuple(AreaSpec(c1, c2, q) for (c1, c2), q in zip(capacities, qs))
-        return cls(areas=areas, radii=tuple(float(r) for r in radii))
-
     @property
     def n_areas(self) -> int:
         return len(self.areas)
@@ -293,10 +285,6 @@ class SystemState:
         object.__setattr__(self, "counts", counts)
 
     @property
-    def n_areas(self) -> int:
-        return len(self.counts) // 3
-
-    @property
     def n1(self) -> int:
         """SC users on carrier 1, all areas."""
         return sum(self.counts[0::3])
@@ -310,10 +298,6 @@ class SystemState:
     def m(self) -> int:
         """DC users, all areas."""
         return sum(self.counts[2::3])
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
 
 
 # ---------------------------------------------------------------------------
@@ -364,14 +348,6 @@ def vb_split(state: SystemState, j: int, cfg: CellConfig, dt: float) -> tuple[fl
 # load, drift, closed-form throughputs
 
 
-@dataclass(frozen=True)
-class LoadSummary:
-    """System load and its per-area decomposition."""
-
-    rho: float
-    rho_per_area: tuple[float, ...]
-
-
 def harmonic_capacity(cfg: CellConfig) -> float:
     """Pooled cell capacity: harmonic mean of per-area totals weighted by q.
 
@@ -381,16 +357,9 @@ def harmonic_capacity(cfg: CellConfig) -> float:
     return 1.0 / inv
 
 
-def offered_load(cfg: CellConfig, traffic: TrafficMix) -> LoadSummary:
-    """Offered load rho = lambda*sigma / c_bar and its per-area terms.
-
-    rho_j = q_j * lambda * sigma / (c1_j + c2_j); the per-area terms add up
-    to rho by construction.
-    """
-    vol = traffic.intensity
-    rho_per_area = tuple(vol * a.q / a.c_total for a in cfg.areas)
-    rho = math.fsum(rho_per_area)
-    return LoadSummary(rho=rho, rho_per_area=rho_per_area)
+def offered_load(cfg: CellConfig, traffic: TrafficMix) -> float:
+    """Offered load rho = lambda*sigma / c_bar, the fsum of q_j lambda sigma / (c1_j + c2_j)."""
+    return math.fsum(traffic.intensity * a.q / a.c_total for a in cfg.areas)
 
 
 def fluid_total_drift(cfg: CellConfig, traffic: TrafficMix) -> float:
@@ -414,7 +383,7 @@ def dc_only_throughput(cfg: CellConfig, traffic: TrafficMix, j: int) -> float:
     """
     if traffic.phi != 0:
         raise ConfigError("closed form requires DC-only traffic (phi = 0)")
-    rho = offered_load(cfg, traffic).rho
+    rho = offered_load(cfg, traffic)
     if rho >= 1.0:
         raise UnstableSystemError(f"no stationary throughput at rho = {rho!r} >= 1")
     return cfg.areas[j].c_total * (1.0 - rho)

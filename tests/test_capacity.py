@@ -14,7 +14,7 @@ from caflow.capacity import (
     solve_preset,
     zero_load_edge_throughput,
 )
-from caflow.errors import ConfigError, InfeasibleTargetError
+from caflow.errors import ConfigError, ConvergenceError, InfeasibleTargetError
 from caflow.model import (
     AreaSpec,
     CellConfig,
@@ -165,6 +165,15 @@ def test_sim_evaluator_inverts_dc_only_target():
                           rel_tol=0.02, seed=5)
     result = max_sustainable_intensity(query)
     assert result.theta_star == pytest.approx(1.0, rel=0.05)
+
+
+def test_sim_probe_without_an_edge_estimate_is_a_convergence_error():
+    # at phi = 0.9999 the edge area sees too few DC completions for an
+    # estimate even after every doubling
+    cfg, target = scenario_presets("dc-hsdpa")
+    query = CapacityQuery(cfg=cfg, phi=0.9999, target_gamma=target, evaluator="sim")
+    with pytest.raises(ConvergenceError, match=r"theta=.* DC completions in area 2 are too few"):
+        max_sustainable_intensity(query)
 
 
 def test_sim_probes_extend_one_trajectory(monkeypatch):

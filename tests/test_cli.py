@@ -15,7 +15,7 @@ from caflow.cli import (
     run_reproduce,
     run_validate,
 )
-from caflow.errors import ConfigError, ConvergenceError
+from caflow.errors import ConfigError, ConvergenceError, EmptyCarrierError
 from caflow.model import CellConfig, Policy, TrafficMix
 
 
@@ -91,6 +91,24 @@ def test_parse_rejects_duplicates_and_gaps():
     text = MINIMAL + "areas.3.c1 = 1\nareas.3.c2 = 1\nareas.3.q = 0\n"
     with pytest.raises(ConfigError, match="without gaps"):
         parse_config_text(text)
+
+
+def test_parse_rejects_a_far_area_index_as_a_gap():
+    # the gap check compares the indices with 1..(number of areas), so a far
+    # index costs nothing to reject
+    text = MINIMAL + "areas.1000000000000.c1 = 1\nareas.1000000000000.c2 = 1\n"
+    with pytest.raises(ConfigError, match="area indices must be 1..2 without gaps"):
+        parse_config_text(text)
+
+
+@pytest.mark.parametrize("alias", ["areas.01.c1", "areas.\u0661.c1"])
+def test_main_rejects_an_area_key_set_twice_under_two_spellings(tmp_path, capsys, alias):
+    # 01 and the Arabic-Indic digit one both parse to area 1
+    cfg = write_cfg(tmp_path, MINIMAL + f"{alias} = 5\n")
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        f"invalid configuration:\n{cfg}:7: duplicate key {alias!r} (first set on line 1)\n"
+    )
 
 
 def test_parse_reports_all_problems():
@@ -205,6 +223,28 @@ def test_main_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
         "numerical failure: stationary solve failed to reach tol=1e-10\n"
     )
     assert not (tmp_path / "solve.csv").exists()
+
+
+def test_main_any_caflow_error_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
+    def fail(*_args, **_kwargs):
+        raise EmptyCarrierError("no user on carrier 1")
+
+    monkeypatch.setattr(cli, "solve_model", fail)
+    cfg = write_cfg(tmp_path, MINIMAL)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "numerical failure: no user on carrier 1\n"
+
+
+def test_main_reports_an_output_directory_it_cannot_write(tmp_path, capsys):
+    # --out names an existing file: one line naming the path, exit 1
+    cfg = write_cfg(tmp_path, MINIMAL)
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    assert main(["solve", "--config", str(cfg), "--out", str(taken)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot write {taken / 'solve.csv'}: ")
+    assert err.count("\n") == 1
+    assert taken.read_text(encoding="utf-8") == ""
 
 
 def test_main_solve_refuses_an_overloaded_cell(tmp_path, capsys):
@@ -348,6 +388,17 @@ def test_main_capacity_infeasible_target_is_a_config_error(tmp_path, capsys):
     assert "exceeds the zero-load edge throughput" in err
     assert "Traceback" not in err
     assert not (tmp_path / "capacity.csv").exists()
+
+
+@pytest.mark.parametrize("phi", ["0.9999", "0.0001"])
+def test_main_capacity_probe_without_an_edge_estimate_exits_2(tmp_path, capsys, phi):
+    # one class is so rare at the edge that no doubling gives it an estimate
+    rc = main(["capacity", "--scenario", "dc-hsdpa", "--phi", phi, "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: simulator probe at theta=")
+    assert err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
 
 
 def test_main_capacity_header_names_the_policy_used(tmp_path):

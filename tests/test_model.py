@@ -103,7 +103,7 @@ def test_config_radii_must_match_q():
             areas=(AreaSpec(1, 1, 0.5), AreaSpec(1, 1, 0.5)),
             radii=(300.0, 600.0),  # ring split is 0.25/0.75
         )
-    cfg = CellConfig.from_radii([(1, 1), (1, 1)], [300.0, 600.0])
+    cfg = CellConfig(areas=(AreaSpec(1, 1, 0.25), AreaSpec(1, 1, 0.75)), radii=(300.0, 600.0))
     assert cfg.areas[0].q == 0.25
 
 
@@ -289,20 +289,20 @@ def test_harmonic_capacity_between_extremes(caps):
 
 
 def test_offered_load_single_area():
-    load = offered_load(single(1, 1), TrafficMix(1.0, 0.5, 1.0))
-    assert load.rho == pytest.approx(0.5)
+    rho = offered_load(single(1, 1), TrafficMix(1.0, 0.5, 1.0))
+    assert rho == pytest.approx(0.5)
 
 
 def test_offered_load_lte_preset_value():
     lte = two_area((150, 70), (15, 7))
-    load = offered_load(lte, TrafficMix(12.8, 1.0, 1.0))
-    assert load.rho == pytest.approx(0.32, rel=1e-12)
+    rho = offered_load(lte, TrafficMix(12.8, 1.0, 1.0))
+    assert rho == pytest.approx(0.32, rel=1e-12)
 
 
 def test_offered_load_per_area():
     cfg = two_area((12, 12), (12, 12))
-    load = offered_load(cfg, TrafficMix(1.0, 0.0, 1.0))
-    assert load.rho_per_area[0] == pytest.approx(0.5 / 24.0, rel=1e-12)
+    rho = offered_load(cfg, TrafficMix(1.0, 0.0, 1.0))
+    assert rho == pytest.approx(1.0 / 24.0, rel=1e-12)
 
 
 @given(
@@ -320,8 +320,8 @@ def test_offered_load_per_area():
 def test_offered_load_additivity(caps, lam, phi):
     n = len(caps)
     cfg = CellConfig(areas=tuple(AreaSpec(c1, c2, 1.0 / n) for c1, c2 in caps))
-    load = offered_load(cfg, TrafficMix(lam, phi, 1.5))
-    assert abs(load.rho - math.fsum(load.rho_per_area)) <= 1e-12
+    rho = offered_load(cfg, TrafficMix(lam, phi, 1.5))
+    assert rho == pytest.approx(lam * 1.5 / harmonic_capacity(cfg), rel=1e-12)
 
 
 def test_fluid_total_drift():
