@@ -96,7 +96,8 @@ def reference_theta(name: str, phi: float) -> float | None:
 class CapacityQuery:
     """One throughput-target inversion problem at the cell edge (the last area).
 
-    ``rel_tol`` bounds the final bracket width relative to theta. Simulator
+    ``rel_tol`` bounds the final bracket width relative to theta; it may not
+    be below the float epsilon, which a bracket one ulp wide meets. Simulator
     probes are sized so their confidence interval either excludes the target
     or is narrower than the theta tolerance mapped into throughput units:
     probe k follows one trajectory on stream ``1_000 * k`` and doubles its
@@ -125,6 +126,13 @@ class CapacityQuery:
             raise ConfigError(f"target throughput must be finite and > 0, got {self.target_gamma}")
         if not (math.isfinite(self.rel_tol) and self.rel_tol > 0):
             raise ConfigError(f"tolerance must be finite and > 0, got {self.rel_tol!r}")
+        # a bracket one ulp wide meets any tolerance from the float epsilon up;
+        # a smaller one spends the probe cap on probes that cannot narrow it
+        if self.rel_tol < math.ulp(1.0):
+            raise ConfigError(
+                f"tolerance must be at least the float epsilon {math.ulp(1.0)!r}, "
+                f"got {self.rel_tol!r}"
+            )
         policy = Policy(self.policy)
         if self.evaluator == "auto":
             theta = 0.5 * RHO_CEILING * harmonic_capacity(self.cfg)
@@ -215,6 +223,96 @@ def _make_evaluator(query: CapacityQuery, gamma_tol: float):
     return probe_sim
 
 
+def _look_ahead_enabled(query: CapacityQuery) -> bool:
+    """Whether the search runs its guessed next probe ahead in a forked helper.
+
+    Only simulator probes are long enough to pay for it: an exact-solver
+    probe on the presets takes about as long as a fork and a pipe round trip.
+    A daemonic process may not start children.
+    """
+    import multiprocessing
+    import os
+
+    return (
+        query.evaluator == "sim"
+        and "fork" in multiprocessing.get_all_start_methods()
+        and hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) >= 2
+        and not multiprocessing.current_process().daemon
+    )
+
+
+def _guess_above(theta: float, lo: Probe, hi: Probe, target: float) -> bool:
+    """Guess whether gamma(theta) exceeds the target, by linear interpolation
+    between the bracket ends' known gammas."""
+    gamma = lo.gamma + (hi.gamma - lo.gamma) * (theta - lo.theta) / (hi.theta - lo.theta)
+    return gamma > target
+
+
+def _run_probe(evaluator, theta: float, probe_id: int, conn) -> None:
+    """Body of a look-ahead helper: send back ``(True, probe)`` or ``(False, error)``."""
+    try:
+        answer = (True, evaluator(theta, probe_id))
+    except Exception as exc:  # re-raised by the caller if it needs this probe
+        answer = (False, exc)
+    conn.send(answer)
+    conn.close()
+
+
+class _LookAhead:
+    """The evaluator, with the search's guessed next probe run ahead in a forked helper.
+
+    Each call names the probe the search needs and the theta it guesses comes
+    next. A helper whose probe left the search's path is terminated first;
+    then the guess starts in a helper, and the needed probe runs here unless
+    a helper already runs it, which the caller then waits for. So at most two
+    probes are in flight. Probes are deterministic in (theta, probe id), so a
+    helper's answer is the one the caller would compute. :meth:`close` ends
+    every helper.
+    """
+
+    def __init__(self, evaluator):
+        import multiprocessing
+
+        self._ctx = multiprocessing.get_context("fork")
+        self._evaluator = evaluator
+        self._helpers = {}  # (theta, probe id) -> (process, receiving end)
+
+    def __call__(self, theta: float, probe_id: int, then: float | None = None) -> Probe:
+        key = (theta, probe_id)
+        for other in [k for k in self._helpers if k != key]:
+            self._stop(other)
+        if then is not None:
+            recv, send = self._ctx.Pipe(duplex=False)
+            helper = self._ctx.Process(
+                target=_run_probe, args=(self._evaluator, then, probe_id + 1, send), daemon=True
+            )
+            helper.start()
+            send.close()
+            self._helpers[then, probe_id + 1] = (helper, recv)
+        if key not in self._helpers:
+            return self._evaluator(theta, probe_id)
+        try:
+            ok, value = self._helpers[key][1].recv()
+        except EOFError:  # the helper ended without an answer: probe here
+            ok, value = True, self._evaluator(theta, probe_id)
+        finally:
+            self._stop(key)
+        if not ok:
+            raise value
+        return value
+
+    def _stop(self, key) -> None:
+        helper, recv = self._helpers.pop(key)
+        helper.terminate()
+        helper.join()
+        recv.close()
+
+    def close(self) -> None:
+        for key in list(self._helpers):
+            self._stop(key)
+
+
 def max_sustainable_intensity(query: CapacityQuery) -> CapacityResult:
     """Largest traffic intensity whose edge throughput still meets the target.
 
@@ -225,6 +323,14 @@ def max_sustainable_intensity(query: CapacityQuery) -> CapacityResult:
     throughput yields theta = 0; a larger target is infeasible. The
     ``approx`` evaluator is the closed form of
     :func:`~caflow.model.theta_approximation`, returned as one exact probe.
+
+    With the simulator on at least two CPUs, and where ``fork`` is available
+    and the caller is not a daemonic process, the search looks ahead: while
+    the caller computes the probe it needs, a forked helper computes the next
+    one at the midpoint the search is guessed to pick, by interpolating the
+    bracket ends' throughputs. A helper whose probe leaves the search's path
+    is terminated, and none outlives the call. Every probe, bracket and theta*
+    is the one the serial search gives.
     """
     cfg, phi = query.cfg, query.phi
     gamma0 = zero_load_edge_throughput(cfg, phi, cfg.edge)
@@ -246,28 +352,38 @@ def max_sustainable_intensity(query: CapacityQuery) -> CapacityResult:
             probes=(Probe(theta=theta, gamma=target),), query=query,
         )
 
-    c_bar = harmonic_capacity(cfg)
-    hi = RHO_CEILING * c_bar
-    lo = 0.0
     gamma_tol = max(target * query.rel_tol, query.rel_tol * gamma0 * 0.1)
     evaluator = _make_evaluator(query, gamma_tol)
+    ahead = _LookAhead(evaluator) if _look_ahead_enabled(query) else None
 
-    brackets = [(lo, hi)]
+    # the bracket's ends with their known throughputs
+    lo = Probe(theta=0.0, gamma=gamma0)
+    hi = Probe(theta=RHO_CEILING * harmonic_capacity(cfg), gamma=0.0)
+    brackets = [(lo.theta, hi.theta)]
     probes: list[Probe] = []
-    for probe_id in range(200):
-        if hi - lo <= query.rel_tol * max(hi, 1e-12):
-            break
-        mid = 0.5 * (lo + hi)
-        probe = evaluator(mid, probe_id)
-        probes.append(probe)
-        if probe.gamma > target:
-            lo = mid
-        else:
-            hi = mid
-        brackets.append((lo, hi))
+    try:
+        for probe_id in range(200):
+            if hi.theta - lo.theta <= query.rel_tol * max(hi.theta, 1e-12):
+                break
+            mid = 0.5 * (lo.theta + hi.theta)
+            if ahead is None:
+                probe = evaluator(mid, probe_id)
+            else:
+                above = _guess_above(mid, lo, hi, target)
+                then = 0.5 * (mid + hi.theta) if above else 0.5 * (lo.theta + mid)
+                probe = ahead(mid, probe_id, then)
+            probes.append(probe)
+            if probe.gamma > target:
+                lo = probe
+            else:
+                hi = probe
+            brackets.append((lo.theta, hi.theta))
 
-    theta_star = 0.5 * (lo + hi)
-    final = evaluator(theta_star, len(probes))
+        theta_star = 0.5 * (lo.theta + hi.theta)
+        final = (evaluator if ahead is None else ahead)(theta_star, len(probes))
+    finally:
+        if ahead is not None:
+            ahead.close()
     probes.append(final)
     return CapacityResult(
         theta_star=theta_star,

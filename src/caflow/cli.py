@@ -52,7 +52,6 @@ from .errors import (
     CaflowError,
     ConfigError,
     InfeasibleTargetError,
-    StateSpaceTooLargeError,  # noqa: F401  tests/test_cli.py raises it by this name
     UnstableSystemError,
 )
 from .model import (

@@ -1,3 +1,7 @@
+import multiprocessing
+import os
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +11,7 @@ from caflow.capacity import (
     PRESET_PHI_GRID,
     RHO_CEILING,
     CapacityQuery,
+    Probe,
     auto_evaluator,
     max_sustainable_intensity,
     reference_theta,
@@ -167,13 +172,133 @@ def test_sim_evaluator_inverts_dc_only_target():
     assert result.theta_star == pytest.approx(1.0, rel=0.05)
 
 
-def test_sim_probe_without_an_edge_estimate_is_a_convergence_error():
+HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
+needs_fork = pytest.mark.skipif(not HAVE_FORK, reason="no fork start method")
+
+
+def _search(monkeypatch, query, look_ahead):
+    monkeypatch.setattr(capacity, "_look_ahead_enabled", lambda q: look_ahead)
+    try:
+        return max_sustainable_intensity(query)
+    finally:
+        assert multiprocessing.active_children() == []
+
+
+def test_sim_probe_without_an_edge_estimate_is_a_convergence_error(monkeypatch):
     # at phi = 0.9999 the edge area sees too few DC completions for an
-    # estimate even after every doubling
+    # estimate even after every doubling; the look-ahead raises the same
+    # error and leaves no helper behind
     cfg, target = scenario_presets("dc-hsdpa")
     query = CapacityQuery(cfg=cfg, phi=0.9999, target_gamma=target, evaluator="sim")
-    with pytest.raises(ConvergenceError, match=r"theta=.* DC completions in area 2 are too few"):
-        max_sustainable_intensity(query)
+    messages = set()
+    for look_ahead in (False, True) if HAVE_FORK else (False,):
+        with pytest.raises(ConvergenceError, match=r"theta=.* DC completions in area 2 are too few"
+                           ) as err:
+            _search(monkeypatch, query, look_ahead)
+        messages.add(str(err.value))
+    assert len(messages) == 1
+
+
+@needs_fork
+def test_look_ahead_gives_the_serial_search(monkeypatch):
+    # a mixed two-area cell on the simulator: every probe, bracket and theta*
+    # is float-identical, whether the guesses are right or always wrong
+    cfg, target = scenario_presets("dc-hsdpa")
+    query = CapacityQuery(cfg=cfg, phi=0.5, target_gamma=target, evaluator="sim", rel_tol=0.05)
+    serial = _search(monkeypatch, query, False)
+    above = {p.theta: p.gamma > target for p in serial.probes}
+
+    ahead_hits = []
+    call = capacity._LookAhead.__call__
+
+    def recording(self, theta, probe_id, then=None):
+        ahead_hits.append((theta, probe_id) in self._helpers)
+        return call(self, theta, probe_id, then)
+
+    monkeypatch.setattr(capacity._LookAhead, "__call__", recording)
+    assert _search(monkeypatch, query, True) == serial
+    assert len(ahead_hits) == len(serial.probes) and any(ahead_hits)
+
+    ahead_hits.clear()
+    monkeypatch.setattr(capacity, "_guess_above",
+                        lambda theta, lo, hi, target: not above[theta])
+    assert _search(monkeypatch, query, True) == serial
+    assert not any(ahead_hits)
+
+
+def _linear_evaluator(where):
+    # gamma falls linearly from its zero-load value to 0 at the ceiling, so
+    # every guess is right. Run in a helper, probe 3 raises ("raise"; the
+    # helper of probe 4 then hangs, so it is in flight at the raise) or ends
+    # its helper without an answer ("exit"); in the caller every probe answers
+    def make(query, gamma_tol):
+        gamma0 = zero_load_edge_throughput(query.cfg, query.phi, query.cfg.edge)
+        ceiling = RHO_CEILING * harmonic_capacity(query.cfg)
+
+        def probe(theta, probe_id):
+            if multiprocessing.parent_process() is not None:
+                if (probe_id, where) == (3, "raise"):
+                    raise ConvergenceError(f"probe 3 at theta={theta!r}")
+                if (probe_id, where) == (3, "exit"):
+                    os._exit(1)
+                if (probe_id, where) == (4, "raise"):
+                    time.sleep(60)
+            return Probe(theta=theta, gamma=gamma0 * (1.0 - theta / ceiling))
+
+        return probe
+
+    return make
+
+
+@needs_fork
+@pytest.mark.parametrize("where", ["raise", "exit"])
+def test_look_ahead_answers_for_a_helper_only_on_the_path(monkeypatch, where):
+    cfg = CellConfig.single_area(1, 1)
+    query = CapacityQuery(cfg=cfg, phi=0.0, target_gamma=1.3, evaluator="sim", rel_tol=0.01)
+    monkeypatch.setattr(capacity, "_make_evaluator", _linear_evaluator(where))
+    serial = _search(monkeypatch, query, False)
+    if where == "exit":
+        # a helper that ends without an answer: the caller runs its probe
+        assert _search(monkeypatch, query, True) == serial
+        return
+    with pytest.raises(ConvergenceError) as err:
+        _search(monkeypatch, query, True)
+    assert str(err.value) == f"probe 3 at theta={serial.probes[3].theta!r}"
+    # off the path (every guess wrong) a helper's error is never read
+    above = {p.theta: p.gamma > query.target_gamma for p in serial.probes}
+    monkeypatch.setattr(capacity, "_guess_above",
+                        lambda theta, lo, hi, target: not above[theta])
+    assert _search(monkeypatch, query, True) == serial
+
+
+def test_look_ahead_runs_only_on_the_simulator_with_two_cpus(monkeypatch):
+    cfg = CellConfig.single_area(1, 1)
+    sim, ctmc = (CapacityQuery(cfg=cfg, phi=0.0, target_gamma=1.0, evaluator=e)
+                 for e in ("sim", "ctmc"))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert capacity._look_ahead_enabled(sim) == HAVE_FORK
+    assert not capacity._look_ahead_enabled(ctmc)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert not capacity._look_ahead_enabled(sim)
+
+
+@needs_fork
+def test_look_ahead_is_off_in_a_daemonic_process(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    query = CapacityQuery(cfg=CellConfig.single_area(1, 1), phi=0.0, target_gamma=1.0,
+                          evaluator="sim")
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=lambda: send.send(capacity._look_ahead_enabled(query)),
+                        daemon=True)
+    child.start()
+    send.close()
+    try:
+        assert recv.poll(30)
+        assert recv.recv() is False
+    finally:
+        child.join(30)
+    assert not child.is_alive()
 
 
 def test_sim_probes_extend_one_trajectory(monkeypatch):
@@ -193,6 +318,8 @@ def test_sim_probes_extend_one_trajectory(monkeypatch):
             return super().advance(stop)
 
     monkeypatch.setattr(capacity, "Trajectory", Recording)
+    # a forked helper's trajectories never reach this class: probe serially
+    monkeypatch.setattr(capacity, "_look_ahead_enabled", lambda query: False)
     cfg = CellConfig.single_area(1, 2)
     query = CapacityQuery(cfg=cfg, phi=0.5, target_gamma=1.0, evaluator="sim", rel_tol=0.05)
     result = max_sustainable_intensity(query)
@@ -243,6 +370,7 @@ def test_query_validation():
         ({"rel_tol": float("nan")}, "tolerance must be finite"),
         ({"rel_tol": float("inf")}, "tolerance must be finite"),
         ({"rel_tol": 0.0}, "tolerance must be finite and > 0"),
+        ({"rel_tol": 1e-20}, "tolerance must be at least the float epsilon 2.22"),
     ],
 )
 def test_query_rejects_outside_input(change, message):

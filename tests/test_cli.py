@@ -15,7 +15,12 @@ from caflow.cli import (
     run_reproduce,
     run_validate,
 )
-from caflow.errors import ConfigError, ConvergenceError, EmptyCarrierError
+from caflow.errors import (
+    ConfigError,
+    ConvergenceError,
+    EmptyCarrierError,
+    StateSpaceTooLargeError,
+)
 from caflow.model import CellConfig, Policy, TrafficMix
 
 
@@ -637,7 +642,7 @@ def test_run_validate_detects_jfq_joining_the_slower_carrier(capsys, monkeypatch
 
 def test_run_validate_reports_skips(capsys, monkeypatch):
     def tiny_budget_factory():
-        raise cli.StateSpaceTooLargeError("budget exceeded for this check")
+        raise StateSpaceTooLargeError("budget exceeded for this check")
 
     monkeypatch.setattr(cli, "_default_generator", tiny_budget_factory)
     rc = run_validate()
