@@ -7,14 +7,14 @@ shortest-queue, or capacity-proportional coin flips), solves for the
 stationary distribution, and turns mean occupancies into per-class mean flow
 throughputs via Little's law.
 
-The stationary law has one solve path: pi_0 = 1 is fixed for the empty
-state, the other balance equations are solved by GMRES with an
-incomplete-LU preconditioner, and the balance residual of the normalized
-vector is then checked against ``SOLVE_TOL``. The lattice's axis count, a
-property of the problem, fixes the preconditioner's input order: one or two
-axes are factored with minimum-degree ordering, three or more in
-population-level order, in which every transition moves one level up or
-down and the generator is block tridiagonal.
+The stationary law is the solution of one reduced system: pi_0 = 1 is
+fixed for the empty state, the other balance equations are solved, and the
+balance residual of the normalized vector is then checked against
+``SOLVE_TOL``. The lattice's axis count, a property of the problem, picks
+how: one or two axes are factored exactly by sparse LU in minimum-degree
+order, three or more are solved by GMRES with an incomplete-LU
+preconditioner in population-level order, in which every transition moves
+one level up or down and the generator is block tridiagonal.
 
 The truncation is the state space itself: a transition whose target is not
 one of its states is dropped (loss model), and the pi-weighted rate of the
@@ -78,10 +78,11 @@ RELIABLE_BLOCKING = 1e-6
 #: blocking mass the auto-grow loop aims for
 DEFAULT_TARGET_BLOCKING = 1e-8
 
-#: incomplete-LU preconditioner of the reduced balance system: minimum
-#: degree on the lexicographic order for lattices of one or two axes, the
-#: population-level order as given for lattices of three or more
-_ILU_MIN_DEGREE = {"drop_tol": 1e-3, "fill_factor": 10, "permc_spec": "MMD_AT_PLUS_A"}
+#: factor of the reduced balance system: exact LU in minimum-degree order on
+#: the lexicographic order for lattices of one or two axes, incomplete LU of
+#: the population-level order as given for lattices of three or more; the
+#: system's diagonal dominance lets both skip pivoting
+_LU_MIN_DEGREE = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0}
 _ILU_LEVELS = {
     "drop_tol": 3e-2, "fill_factor": 10, "permc_spec": "NATURAL", "diag_pivot_thresh": 0.0,
 }
@@ -423,9 +424,9 @@ class StationaryDistribution:
 
     ``residual`` is the balance-equation residual normalized by the
     uniformization constant; ``blocking`` maps "sc"/"dc" to the
-    :func:`blocking_mass` of that class.
-    ``iterations`` is always 0 and ``method`` always "ilu-gmres"; the
-    benchmark's tracer still reads both.
+    :func:`blocking_mass` of that class. ``method`` names the solve path
+    that ran: "lu" on one or two axes, "ilu-gmres" on three or more.
+    ``iterations`` is always 0; the benchmark's tracer still reads it.
     """
 
     pi: np.ndarray
@@ -442,24 +443,38 @@ class StationaryDistribution:
 
 
 def _ilu_plan(space: StateSpace) -> tuple[np.ndarray | None, dict]:
-    # (input order, spilu settings) of the reduced solve; level orders often
-    # beat minimum degree once the ILU drops entries (Benzi, Szyld & van
-    # Duin 1999), but on one or two axes minimum degree is nearly exact
+    # (input order, factor settings) of the reduced solve. On one or two
+    # axes minimum degree has near-linear fill (George 1973), so the factor
+    # is exact and the input order stays lexicographic (None); on three or
+    # more the population-level order feeds an ILU that drops entries, where
+    # level orders often beat minimum degree (Benzi, Szyld & van Duin 1999)
     if sum(r > 1 for r in space._radix) <= 2:
-        return None, _ILU_MIN_DEGREE
+        return None, _LU_MIN_DEGREE
     order = np.argsort(space.total, kind="stable")
     if order[0] != 0 or space.total[order[1]] == 0:
         raise AssertionError("the empty state is not alone at population level 0")
     return order, _ILU_LEVELS
 
 
-def _solve_reduced(qt, unif, ilu_options):
+def _reduced_system(qt):
     # pi_0 = 1 for the empty state (state 0), which every state reaches, so
     # dropping its balance equation and unknown leaves a non-singular system
     # Q^T[1:, 1:] y = -Q^T[1:, 0] (Stewart 1994, ch. 2 and 5); each column of
-    # that system is diagonally dominant, so the ILU may skip pivoting
-    a = qt[1:, 1:]
-    b = -qt[1:, 0].toarray().ravel()
+    # that system is diagonally dominant, so its factors may skip pivoting
+    return qt[1:, 1:], -qt[1:, 0].toarray().ravel()
+
+
+def _solve_reduced_lu(qt, lu_options):
+    a, b = _reduced_system(qt)
+    try:
+        lu = spla.splu(a, **lu_options)
+    except RuntimeError as exc:  # a zero pivot: the factor is singular
+        raise ConvergenceError(f"sparse LU failed: {exc}") from exc
+    return np.concatenate(([1.0], lu.solve(b)))
+
+
+def _solve_reduced(qt, unif, ilu_options):
+    a, b = _reduced_system(qt)
     try:
         ilu = spla.spilu(a, **ilu_options)
     except RuntimeError as exc:  # zero pivot in the incomplete factors
@@ -479,31 +494,33 @@ def solve_stationary(gen: Generator) -> StationaryDistribution:
     """Stationary distribution of the truncated chain.
 
     Fixes pi_0 = 1 for the empty state, solves the remaining balance
-    equations by GMRES with an incomplete-LU preconditioner, then clips and
-    normalizes. A GMRES breakdown, or a normalized residual ||pi Q||_inf /
-    unif above ``SOLVE_TOL``, raises :class:`ConvergenceError` with the
-    residual in its message.
+    equations, then clips and normalizes. A zero pivot, a GMRES breakdown,
+    or a normalized residual ||pi Q||_inf / unif above ``SOLVE_TOL`` raises
+    :class:`ConvergenceError` with the cause in its message.
 
-    The lattice's axis count picks the ILU's input order: minimum degree on
-    one or two axes, where it is nearly exact and cheap; population-level
-    order on three or more (states sorted by total population, the empty
-    state alone first). Every transition changes the total by one, so Q^T
-    is block tridiagonal in that order, and an ILU that drops entries below
-    3e-2 preconditions it well at a fraction of minimum degree's fill. The
+    The lattice's axis count picks the path, named by ``method``. On one or
+    two axes ("lu") the reduced system is factored exactly by sparse LU in
+    minimum-degree order, whose fill is near linear on such a lattice, and
+    solved with that factor alone. On three or more ("ilu-gmres") it is
+    solved by GMRES with an incomplete-LU preconditioner in population-level
+    order (states sorted by total population, the empty state alone
+    first): every transition changes the total by one, so Q^T is block
+    tridiagonal in that order, and an ILU that drops entries below 3e-2
+    preconditions it well at a fraction of minimum degree's fill. The
     residual is checked on the unpermuted vector against ``gen.Q``.
     """
     n = gen.Q.shape[0]
     unif = gen.unif if gen.unif > 0 else 1.0
     qt = gen.Q.T.tocsc()
+    order, options = _ilu_plan(gen.space)
+    method = "lu" if order is None else "ilu-gmres"
     if n == 1:
         x = np.ones(1)
+    elif order is None:
+        x = _solve_reduced_lu(qt, options)
     else:
-        order, ilu_options = _ilu_plan(gen.space)
-        if order is None:
-            x = _solve_reduced(qt, unif, ilu_options)
-        else:
-            x = np.empty(n)
-            x[order] = _solve_reduced(qt[order][:, order], unif, ilu_options)
+        x = np.empty(n)
+        x[order] = _solve_reduced(qt[order][:, order], unif, options)
     x = np.maximum(x, 0.0)
     total = x.sum()
     if not np.isfinite(total):
@@ -516,7 +533,7 @@ def solve_stationary(gen: Generator) -> StationaryDistribution:
         )
     pi = x / x.sum()
     return StationaryDistribution(
-        pi=pi, residual=residual, iterations=0, method="ilu-gmres",
+        pi=pi, residual=residual, iterations=0, method=method,
         blocking=blocking_mass(gen, pi), space=gen.space, cfg=gen.cfg, traffic=gen.traffic,
     )
 
@@ -787,4 +804,52 @@ def _truncated_generator(
     keep = label == label[0]
     if keep.all():
         return gen
-    return build_generator(cfg, traffic, StateSpace(space.counts[keep], space.truncation), policy)
+    return _cut_class(gen, keep)
+
+
+def _move_slots(space: StateSpace, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    # build_generator's slot of each transition rows -> cols: per area j,
+    # arrivals on components 3j, 3j + 1, 3j + 2 in slots 6j..6j + 2, then
+    # departures from them in 6j + 3..6j + 5, so slot % 3 == 2 is a DC move.
+    # A transition moves one component by one, so its key step names both.
+    steps, slots = zip(*sorted(
+        (s * int(space._strides[c]), 6 * (c // 3) + (0 if s > 0 else 3) + c % 3)
+        for c, r in enumerate(space._radix) if r > 1 for s in (-1, 1)
+    ))
+    return np.array(slots)[np.searchsorted(steps, space.keys[cols] - space.keys[rows])]
+
+
+def _cut_class(gen: Generator, keep: np.ndarray) -> Generator:
+    # the generator of the states in keep, cut out of gen: a transition into
+    # a cut state is dropped like one that leaves the lattice, and a state
+    # that loses one has its outflow summed again over the rest in the order
+    # build_generator adds them, so Q and unif equal a fresh build on the
+    # kept states entry for entry (dropped sums in another order)
+    q = gen.Q
+    space = StateSpace(gen.space.counts[keep], gen.space.truncation)
+    index = np.cumsum(keep) - 1
+    rows = np.repeat(np.arange(len(keep)), np.diff(q.indptr))
+    lost = keep[rows] & ~keep[q.indices]
+    src, rate = rows[lost], q.data[lost]
+    dc = _move_slots(gen.space, src, q.indices[lost]) % 3 == 2
+    dropped = {
+        cls: gen.dropped[cls][keep]
+        + np.bincount(index[src[at]], weights=rate[at], minlength=len(space))
+        for cls, at in (("sc", ~dc), ("dc", dc))
+    }
+    sub = q[keep][:, keep]
+    # the entries of the rows that lost a transition, row by row: their
+    # outflow is summed again in slot order into their diagonal entry
+    hit = np.unique(index[src])
+    lo, size = sub.indptr[hit], np.diff(sub.indptr)[hit]
+    at = np.arange(size.sum()) + np.repeat(lo - np.cumsum(size) + size, size)
+    row = np.repeat(np.arange(len(hit)), size)
+    diag = sub.indices[at] == hit[row]
+    row, at_move = row[~diag], at[~diag]
+    order = np.lexsort((_move_slots(space, hit[row], sub.indices[at_move]), row))
+    outflow = np.bincount(row[order], weights=sub.data[at_move[order]], minlength=len(hit))
+    sub.data[at[diag]] = -outflow
+    return Generator(
+        Q=sub, unif=float((-sub.diagonal()).max(initial=0.0)), space=space, cfg=gen.cfg,
+        traffic=gen.traffic, dropped=dropped,
+    )

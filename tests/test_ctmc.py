@@ -409,8 +409,8 @@ def test_solver_matches_dense_reference_on_random_small_cells(
 
 
 def direct_reduced_stationary(gen):
-    # sparse direct solve of the reduced system the solver iterates on:
-    # pi_0 = 1, Q^T[1:, 1:] y = -Q^T[1:, 0], then normalized
+    # sparse direct solve of the reduced system that the solver factors or
+    # iterates on: pi_0 = 1, Q^T[1:, 1:] y = -Q^T[1:, 0], then normalized
     qt = gen.Q.T.tocsc()
     y = spla.spsolve(qt[1:, 1:], -qt[1:, 0].toarray().ravel(), permc_spec="MMD_AT_PLUS_A")
     x = np.concatenate(([1.0], y))
@@ -451,12 +451,44 @@ def test_level_order_keeps_the_empty_state_first():
         assert order[0] == 0
         assert np.all(np.diff(space.total[order]) >= 0)
         assert space.total[order[1:]].min() == 1
-    # one or two axes keep the lexicographic order for minimum degree
+    # one or two axes keep the lexicographic order for an exact
+    # minimum-degree LU
     for phi in (0.0, 1.0):
         space = enumerate_states(
             single(1, 2), Truncation(max_total=6), traffic=TrafficMix(1.0, phi, 1.0)
         )
-        assert ctmc._ilu_plan(space) == (None, ctmc._ILU_MIN_DEGREE)
+        assert ctmc._ilu_plan(space) == (None, ctmc._LU_MIN_DEGREE)
+
+
+def gmres_must_not_run(*args, **kwargs):
+    raise AssertionError("GMRES ran on a lattice of one or two axes")
+
+
+@pytest.mark.parametrize(
+    "cfg, phi, rho, policy, trunc",
+    [
+        (single(1, 2), 0.0, 0.8, Policy.JFQ, Truncation(200)),
+        (single(1, 2), 1.0, 0.8, Policy.JFQ, Truncation(120, 14)),
+        (single(1, 2), 1.0, 0.8, Policy.JSQ, Truncation(120, 14)),
+        (single(1, "1.3"), 1.0, 0.8, Policy.BERNOULLI, Truncation(70)),
+        (two_area((10, 14), (1, "1.4")), 0.0, 0.7, Policy.JFQ, Truncation(60)),
+    ],
+    ids=["dc-only", "sc-jfq-band", "sc-jsq-band", "bernoulli-simplex", "two-area-dc-only"],
+)
+def test_one_and_two_axis_lattices_are_factored_exactly(
+    monkeypatch, cfg, phi, rho, policy, trunc
+):
+    # an exact LU leaves GMRES nothing to do, so it must not run, and the
+    # answer is the reduced system's own
+    traffic = TrafficMix(rho * harmonic_capacity(cfg), phi, 1.0)
+    gen = ctmc._truncated_generator(cfg, traffic, trunc, policy, ctmc.DEFAULT_STATE_BUDGET)
+    assert gen.space.truncation == trunc
+    assert sum(r > 1 for r in gen.space._radix) == (1 if phi == 0.0 and cfg.n_areas == 1 else 2)
+    monkeypatch.setattr(spla, "gmres", gmres_must_not_run)
+    dist = solve_stationary(gen)
+    assert dist.method == "lu"
+    assert dist.residual <= SOLVE_TOL
+    assert np.abs(dist.pi - direct_reduced_stationary(gen)).sum() <= 1e-12
 
 
 def test_symmetric_capacities_give_symmetric_marginals():
@@ -614,6 +646,51 @@ def test_coin_flips_and_dc_only_traffic_keep_the_simplex(cfg, rho, case):
                 and np.array_equal(q.indices, simplex.Q.indices)
                 and np.array_equal(q.data, simplex.Q.data))
     assert np.array_equal(dist.pi, solve_stationary(simplex).pi)
+
+
+def assert_same_generator(gen, fresh):
+    for part in ("indptr", "indices", "data"):
+        got, want = getattr(gen.Q, part), getattr(fresh.Q, part)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert gen.unif == fresh.unif
+    assert gen.dropped.keys() == fresh.dropped.keys()
+    for cls, want in fresh.dropped.items():
+        np.testing.assert_allclose(gen.dropped[cls], want, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("policy", [Policy.JFQ, Policy.JSQ])
+@pytest.mark.parametrize(
+    "cfg, phi",
+    [(single(1, 2), 0.5), (single(1, 2), 1.0), (two_area((10, 14), (1, "1.4")), 1.0)],
+    ids=["one-area-mixed", "one-area-sc", "two-area-sc"],
+)
+def test_band_class_is_cut_out_of_one_assembly(monkeypatch, cfg, phi, policy):
+    # the communicating class is cut out of the band's generator, not built
+    # a second time, and equals a fresh build on it entry for entry
+    traffic = TrafficMix(0.6 * harmonic_capacity(cfg), phi, 1.0)
+    trunc = Truncation(12, 3)
+    band = enumerate_states(cfg, trunc, traffic=traffic, policy=policy)
+    builds = []
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return build_generator(*args, **kwargs)
+
+    monkeypatch.setattr(ctmc, "build_generator", counted)
+    gen = ctmc._truncated_generator(cfg, traffic, trunc, policy, ctmc.DEFAULT_STATE_BUDGET)
+    assert len(builds) == 1 and len(gen.space) < len(band)
+    assert_same_generator(gen, build_generator(cfg, traffic, gen.space, policy))
+    # here no state of the class leads out of it, so also cut a set whose
+    # states lose transitions: the band without its states of two SC flows
+    # on carrier 1 of area 1, next to which states keep both arrivals and
+    # departures
+    keep = band.counts[:, 0] != 2
+    whole = build_generator(cfg, traffic, band, policy)
+    cut = ctmc._cut_class(whole, keep)
+    assert_same_generator(
+        cut, build_generator(cfg, traffic, StateSpace(band.counts[keep], band.truncation), policy)
+    )
+    assert cut.dropped["sc"].sum() > whole.dropped["sc"][keep].sum()
 
 
 def test_band_blocking_counts_the_transitions_it_drops():
