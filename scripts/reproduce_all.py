@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Emit every bundled study dataset into out/reproduce (fig2..fig6, table1).
 
-On a 2-core x86 machine with one BLAS thread the whole set takes about a
-minute and a half: table1 about 60 s (its nine mixed-traffic cells run on
-the simulator), fig3, fig5 and fig6 about 10-12 s each, fig2 and fig4 a
-second or less. Pass --only to regenerate a subset.
+On a 2-core x86 machine with one BLAS thread the whole set takes about
+40 s: table1 about 25 s (its nine mixed-traffic cells run on the
+simulator), fig3, fig5 and fig6 3-4 s each, fig2 and fig4 under a second.
+Pass --only to regenerate a subset.
 """
 
 import argparse

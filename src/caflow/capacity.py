@@ -4,7 +4,10 @@ The mean throughput at the cell edge decreases monotonically with the offered
 traffic intensity theta = lambda * sigma, so the largest theta meeting a
 target is found by bisection over the exact truncated-chain solver or the
 event simulator (with noise-aware probe acceptance); the closed-form
-approximation is inverted exactly, in one probe.
+approximation is inverted exactly, in one probe. Over the exact solver the
+bisection decides most midpoints from earlier probes, by monotonicity, and
+aims its probes at the bisection leaf around the interpolated root: the
+brackets and theta* are those of plain bisection, for fewer solves.
 
 Bundled scenario presets model a two-carrier cell with a strong center and a
 ten-times-weaker edge; the externally reported capacity figures for these
@@ -27,6 +30,7 @@ from .model import (
     TrafficMix,
     harmonic_capacity,
     mixed_mean_throughput,
+    sc_carrier1_share,
     theta_approximation,
 )
 from .sim import Stop, Trajectory, Warmup
@@ -134,6 +138,7 @@ class CapacityQuery:
                 f"got {self.rel_tol!r}"
             )
         policy = Policy(self.policy)
+        object.__setattr__(self, "policy", policy)
         if self.evaluator == "auto":
             theta = 0.5 * RHO_CEILING * harmonic_capacity(self.cfg)
             traffic = TrafficMix(theta / self.sigma, self.phi, self.sigma)
@@ -155,7 +160,10 @@ class Probe:
 class CapacityResult:
     theta_star: float
     achieved_gamma: float
+    #: the bisection bracket after each midpoint, decided by a probe or not
     brackets: tuple[tuple[float, float], ...]
+    #: the evaluated probes in order, the last at theta*; over the exact
+    #: solver they are not every midpoint, and not all of them are midpoints
     probes: tuple[Probe, ...]
     #: the query solved, its evaluator resolved (``auto`` never stays)
     query: CapacityQuery
@@ -164,13 +172,20 @@ class CapacityResult:
     note: str = ""
 
 
-def zero_load_edge_throughput(cfg: CellConfig, phi: float, area: int) -> float:
+def zero_load_edge_throughput(
+    cfg: CellConfig, phi: float, area: int, policy: Policy = Policy.JFQ
+) -> float:
     """Mean edge throughput of an otherwise empty cell.
 
-    A lone SC flow joins the fastest carrier; a lone DC flow gets both.
+    A lone SC flow is routed as an arrival to the empty cell is: the fastest
+    carrier under ``jfq``, either carrier with probability 1/2 under ``jsq``
+    (a tie), carrier 1 with probability c1/(c1+c2) under ``bernoulli``. A
+    lone DC flow gets both carriers.
     """
     spec = cfg.areas[area]
-    return phi * spec.c_max + (1.0 - phi) * spec.c_total
+    share = sc_carrier1_share(policy, spec, 0, 0, 0)
+    lone_sc = share * spec.c1 + (1.0 - share) * spec.c2
+    return phi * lone_sc + (1.0 - phi) * spec.c_total
 
 
 def _gamma_from_report(report, area: int) -> float:
@@ -313,6 +328,33 @@ class _LookAhead:
             self._stop(key)
 
 
+def _too_wide(lo: float, hi: float, rel_tol: float) -> bool:
+    """Whether the search halves the bracket (lo, hi) again."""
+    return hi - lo > rel_tol * max(hi, 1e-12)
+
+
+def _leaf(lo: float, hi: float, root: float, rel_tol: float) -> tuple[float, float]:
+    """The final bracket that bisection from (lo, hi) reaches for a root at ``root``."""
+    while _too_wide(lo, hi, rel_tol):
+        mid = 0.5 * (lo + hi)
+        if mid < root:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def _aim(lo: float, hi: float, a: Probe, b: Probe, target: float, rel_tol: float) -> float:
+    """Where an exact probe goes: the end of the bisection leaf around the
+    target's linear interpolation s between ``a`` and ``b`` that lies
+    strictly inside (a, b) and closer to s. Should rounding leave neither
+    end inside, it is the midpoint of (lo, hi).
+    """
+    s = a.theta + (a.gamma - target) * (b.theta - a.theta) / (a.gamma - b.gamma)
+    ends = [t for t in _leaf(lo, hi, s, rel_tol) if a.theta < t < b.theta]
+    return min(ends, key=lambda t: abs(t - s), default=0.5 * (lo + hi))
+
+
 def max_sustainable_intensity(query: CapacityQuery) -> CapacityResult:
     """Largest traffic intensity whose edge throughput still meets the target.
 
@@ -324,6 +366,17 @@ def max_sustainable_intensity(query: CapacityQuery) -> CapacityResult:
     ``approx`` evaluator is the closed form of
     :func:`~caflow.model.theta_approximation`, returned as one exact probe.
 
+    Beside the bisection bracket the search keeps (a, b), the tightest
+    evaluated probes (or ends) above and at or below the target. A midpoint
+    at or below a's theta is above the target, one at or above b's is not,
+    and neither needs a probe. Only a midpoint strictly inside (a, b) does.
+    The simulator probes that midpoint, so its (a, b) is the bracket. The
+    exact solver, whose throughput is monotone, probes where the root
+    probably is instead (:func:`_aim`), or the midpoint after two probes in
+    a row that moved the same end of (a, b). Its brackets, theta* and
+    achieved throughput are those of plain bisection; only the number of
+    solves falls.
+
     With the simulator on at least two CPUs, and where ``fork`` is available
     and the caller is not a daemonic process, the search looks ahead: while
     the caller computes the probe it needs, a forked helper computes the next
@@ -333,7 +386,7 @@ def max_sustainable_intensity(query: CapacityQuery) -> CapacityResult:
     is the one the serial search gives.
     """
     cfg, phi = query.cfg, query.phi
-    gamma0 = zero_load_edge_throughput(cfg, phi, cfg.edge)
+    gamma0 = zero_load_edge_throughput(cfg, phi, cfg.edge, query.policy)
     target = query.target_gamma
     if target > gamma0 * (1.0 + 1e-12):
         raise InfeasibleTargetError(
@@ -355,31 +408,40 @@ def max_sustainable_intensity(query: CapacityQuery) -> CapacityResult:
     gamma_tol = max(target * query.rel_tol, query.rel_tol * gamma0 * 0.1)
     evaluator = _make_evaluator(query, gamma_tol)
     ahead = _LookAhead(evaluator) if _look_ahead_enabled(query) else None
+    exact = query.evaluator != "sim"
 
-    # the bracket's ends with their known throughputs
-    lo = Probe(theta=0.0, gamma=gamma0)
-    hi = Probe(theta=RHO_CEILING * harmonic_capacity(cfg), gamma=0.0)
-    brackets = [(lo.theta, hi.theta)]
+    lo, hi = 0.0, RHO_CEILING * harmonic_capacity(cfg)
+    a, b = Probe(theta=lo, gamma=gamma0), Probe(theta=hi, gamma=0.0)
+    brackets = [(lo, hi)]
     probes: list[Probe] = []
+    moved: list[bool] = []  # per probe: whether it moved a (else b)
     try:
-        for probe_id in range(200):
-            if hi.theta - lo.theta <= query.rel_tol * max(hi.theta, 1e-12):
+        while _too_wide(lo, hi, query.rel_tol):
+            mid = 0.5 * (lo + hi)
+            if mid <= a.theta or mid >= b.theta:
+                lo, hi = (mid, hi) if mid <= a.theta else (lo, mid)
+                brackets.append((lo, hi))
+                continue
+            if len(probes) == 200:
                 break
-            mid = 0.5 * (lo.theta + hi.theta)
-            if ahead is None:
-                probe = evaluator(mid, probe_id)
+            if ahead is not None:
+                above = _guess_above(mid, a, b, target)
+                then = 0.5 * (mid + hi) if above else 0.5 * (lo + mid)
+                probe = ahead(mid, len(probes), then)
             else:
-                above = _guess_above(mid, lo, hi, target)
-                then = 0.5 * (mid + hi.theta) if above else 0.5 * (lo.theta + mid)
-                probe = ahead(mid, probe_id, then)
+                # two probes in a row moved the same end: the aim has stalled
+                stalled = len(moved) >= 2 and moved[-1] == moved[-2]
+                aimed = exact and not stalled
+                theta = _aim(lo, hi, a, b, target, query.rel_tol) if aimed else mid
+                probe = evaluator(theta, len(probes))
             probes.append(probe)
-            if probe.gamma > target:
-                lo = probe
+            moved.append(probe.gamma > target)
+            if moved[-1]:
+                a = probe
             else:
-                hi = probe
-            brackets.append((lo.theta, hi.theta))
+                b = probe
 
-        theta_star = 0.5 * (lo.theta + hi.theta)
+        theta_star = 0.5 * (lo + hi)
         final = (evaluator if ahead is None else ahead)(theta_star, len(probes))
     finally:
         if ahead is not None:

@@ -1,3 +1,4 @@
+import itertools
 import multiprocessing
 import os
 import time
@@ -94,6 +95,26 @@ def test_zero_load_edge_throughput_mixes_classes():
     assert zero_load_edge_throughput(cfg, 0.5, 1) == pytest.approx(18.5)
 
 
+@pytest.mark.parametrize("policy, lone_sc", [(Policy.JFQ, 2.0), (Policy.JSQ, 1.5),
+                                             (Policy.BERNOULLI, 5.0 / 3.0)])
+def test_zero_load_sc_flow_is_routed_by_the_policy(policy, lone_sc):
+    # on (1, 2) the empty cell sends a lone SC flow to carrier 2 (jfq), to
+    # either carrier on the tie (jsq), or to carrier 1 w.p. 1/3 (bernoulli)
+    cfg = CellConfig.single_area(1, 2)
+    assert zero_load_edge_throughput(cfg, 1.0, 0, policy) == pytest.approx(lone_sc, rel=1e-15)
+    assert zero_load_edge_throughput(cfg, 0.0, 0, policy) == 3.0
+    # a target between the lone flow's throughput and c_max is infeasible
+    if lone_sc < 2.0:
+        with pytest.raises(InfeasibleTargetError, match="zero-load"):
+            max_sustainable_intensity(CapacityQuery(
+                cfg=cfg, phi=1.0, target_gamma=0.5 * (lone_sc + 2.0), policy=policy))
+    result = max_sustainable_intensity(CapacityQuery(
+        cfg=cfg, phi=1.0, target_gamma=lone_sc, policy=policy.value))
+    assert (result.theta_star, result.probes) == (0.0, ())
+    assert "zero-load" in result.note
+    assert result.query.policy is policy
+
+
 def test_approx_and_ctmc_agree_for_dc_only_single_area():
     cfg = CellConfig.single_area(1, "1.3")
     for target in (0.5, 1.0, 1.8):
@@ -117,6 +138,121 @@ def test_approx_is_the_closed_form_in_one_probe():
     assert result.achieved_gamma == target
     assert result.brackets == ((result.theta_star, result.theta_star),)
     assert len(result.probes) == 1
+
+
+#: theta*, final bracket and achieved gamma of plain bisection on the exact
+#: solver (rel_tol 0.01), as the search gave them before it skipped midpoints
+PRESET_ANSWERS = {
+    ("lte", 1.0): (12.604570312500002, (12.565546875, 12.64359375), 9.99217853372793),
+    ("dc-hsdpa", 0.0): (1.8234588068181818, (1.8163636363636364, 1.8305539772727273),
+                        0.9970977683942582),
+    ("db-hsdpa", 0.0): (2.5457471590909093, (2.5372329545454546, 2.554261363636364),
+                        0.9998392234108777),
+    ("lte", 0.0): (21.775078125, (21.69703125, 21.853125), 10.02370798114525),
+    ("db-hsdpa", 1.0): (1.7113551136363634, (1.702840909090909, 1.7198693181818179),
+                        1.0009930638782496),
+}
+
+
+@pytest.mark.parametrize("name, phi", list(PRESET_ANSWERS))
+def test_exact_preset_answers_are_those_of_plain_bisection(name, phi):
+    result = solve_preset(name, phi, "ctmc")
+    assert (result.theta_star, result.brackets[-1], result.achieved_gamma) == \
+        PRESET_ANSWERS[name, phi]
+
+
+def _cached_evaluators(monkeypatch):
+    # one solve per (query, theta), shared by the search and plain bisection
+    make, cache = capacity._make_evaluator, {}
+
+    def cached(query, gamma_tol):
+        evaluate = make(query, gamma_tol)
+
+        def probe(theta, probe_id):
+            key = (query.cfg, query.phi, query.policy, theta)
+            if key not in cache:
+                cache[key] = evaluate(theta, probe_id)
+            return cache[key]
+
+        return probe
+
+    monkeypatch.setattr(capacity, "_make_evaluator", cached)
+
+
+def _plain_bisection(query):
+    """Brackets, theta*, achieved gamma and probe count of bisection that
+    probes every midpoint, on the search's own evaluator."""
+    evaluate = capacity._make_evaluator(query, 0.0)
+    lo, hi = 0.0, RHO_CEILING * harmonic_capacity(query.cfg)
+    brackets = [(lo, hi)]
+    while hi - lo > query.rel_tol * max(hi, 1e-12):
+        mid = 0.5 * (lo + hi)
+        if evaluate(mid, len(brackets) - 1).gamma > query.target_gamma:
+            lo = mid
+        else:
+            hi = mid
+        brackets.append((lo, hi))
+    theta_star = 0.5 * (lo + hi)
+    return (tuple(brackets), theta_star, evaluate(theta_star, len(brackets) - 1).gamma,
+            len(brackets))
+
+
+def test_exact_search_is_plain_bisection_with_fewer_probes(monkeypatch):
+    _cached_evaluators(monkeypatch)
+    extra, ours, plain = [], 0, 0
+    for (c1, c2), policy, phi, share, rel_tol in itertools.product(
+        ((1, 1), (1, 2)), Policy, (0.0, 1.0), (0.2, 0.5, 0.95), (0.01, 0.001)
+    ):
+        cfg = CellConfig.single_area(c1, c2)
+        target = share * zero_load_edge_throughput(cfg, phi, 0, policy)
+        query = CapacityQuery(cfg=cfg, phi=phi, target_gamma=target, evaluator="ctmc",
+                              rel_tol=rel_tol, policy=policy)
+        brackets, theta_star, gamma, probes = _plain_bisection(query)
+        result = max_sustainable_intensity(query)
+        assert (result.brackets, result.theta_star, result.achieved_gamma) == (
+            brackets, theta_star, gamma)
+        assert result.probes[-1] == Probe(theta=theta_star, gamma=gamma)
+        extra.append(len(result.probes) - probes)
+        ours, plain = ours + len(result.probes), plain + probes
+    assert max(extra) <= 1
+    assert ours < plain
+
+
+def _power_evaluator(power):
+    # gamma falls from its zero-load value as (1 - theta/ceiling)^power
+    def make(query, gamma_tol):
+        gamma0 = zero_load_edge_throughput(query.cfg, query.phi, query.cfg.edge)
+        ceiling = RHO_CEILING * harmonic_capacity(query.cfg)
+        return lambda theta, probe_id: Probe(theta, gamma0 * (1.0 - theta / ceiling) ** power)
+
+    return make
+
+
+def test_linear_exact_throughput_takes_the_leaf_ends_and_the_final_probe(monkeypatch):
+    monkeypatch.setattr(capacity, "_make_evaluator", _power_evaluator(1))
+    for target in (0.1, 1.0, 1.9):
+        query = CapacityQuery(cfg=CellConfig.single_area(1, 1), phi=0.0, target_gamma=target,
+                              evaluator="ctmc", rel_tol=0.001)
+        result = max_sustainable_intensity(query)
+        assert result.brackets == _plain_bisection(query)[0]
+        assert len(result.probes) == 3
+        assert {p.theta for p in result.probes[:2]} == set(result.brackets[-1])
+        assert result.probes[2].theta == result.theta_star
+
+
+@pytest.mark.parametrize("share", [0.05, 0.5, 0.95])
+def test_a_stalled_aim_falls_back_to_midpoints(monkeypatch, share):
+    # interpolating a steep convex gamma overshoots the root, and every aimed
+    # probe moves the same end; the search then probes midpoints and stays
+    # within one probe of plain bisection
+    monkeypatch.setattr(capacity, "_make_evaluator", _power_evaluator(50))
+    for rel_tol in (0.01, 0.001, 1e-6):
+        query = CapacityQuery(cfg=CellConfig.single_area(1, 1), phi=0.0,
+                              target_gamma=2.0 * share, evaluator="ctmc", rel_tol=rel_tol)
+        brackets, _, _, probes = _plain_bisection(query)
+        result = max_sustainable_intensity(query)
+        assert result.brackets == brackets
+        assert len(result.probes) <= probes + 1
 
 
 def _theta_star(cfg, phi, target, evaluator):
@@ -336,6 +472,17 @@ def test_sim_probes_extend_one_trajectory(monkeypatch):
         )
         sc, dc = rep.estimate("sc", 0), rep.estimate("dc", 0)
         assert probe.gamma == mixed_mean_throughput(sc.gamma_hat, dc.gamma_hat, 0.5)
+
+
+def test_sim_probes_every_bracket_midpoint():
+    # the simulator's throughput is noisy, so no midpoint is decided without
+    # its own probe: probe k sits at the midpoint of brackets[k]
+    cfg = CellConfig.single_area(1, 1)
+    query = CapacityQuery(cfg=cfg, phi=0.0, target_gamma=1.0, evaluator="sim", rel_tol=0.05)
+    result = max_sustainable_intensity(query)
+    assert len(result.probes) == len(result.brackets)
+    for (lo, hi), probe in zip(result.brackets, result.probes):
+        assert probe.theta == 0.5 * (lo + hi)
 
 
 def test_preset_solver_attaches_reference_and_deviation():
