@@ -60,6 +60,9 @@ REFERENCE_THETA: dict[str, dict[float, float | None]] = {
 
 PRESET_PHI_GRID = (1.0, 0.8, 0.5, 0.2)
 
+#: probes after which the search stops and flags its bracket in ``note``
+_MAX_PROBES = 200
+
 
 def scenario_presets(name: str) -> tuple[CellConfig, float]:
     """Named two-area scenario and its edge-throughput target (Mbit/s).
@@ -375,7 +378,9 @@ def max_sustainable_intensity(query: CapacityQuery) -> CapacityResult:
     probably is instead (:func:`_aim`), or the midpoint after two probes in
     a row that moved the same end of (a, b). Its brackets, theta* and
     achieved throughput are those of plain bisection; only the number of
-    solves falls.
+    solves falls. After ``_MAX_PROBES`` probes the search stops halving:
+    theta* is the midpoint of a bracket still wider than ``rel_tol``, and
+    ``note`` says so and gives the width.
 
     With the simulator on at least two CPUs, and where ``fork`` is available
     and the caller is not a daemonic process, the search looks ahead: while
@@ -415,6 +420,7 @@ def max_sustainable_intensity(query: CapacityQuery) -> CapacityResult:
     brackets = [(lo, hi)]
     probes: list[Probe] = []
     moved: list[bool] = []  # per probe: whether it moved a (else b)
+    note = ""
     try:
         while _too_wide(lo, hi, query.rel_tol):
             mid = 0.5 * (lo + hi)
@@ -422,7 +428,12 @@ def max_sustainable_intensity(query: CapacityQuery) -> CapacityResult:
                 lo, hi = (mid, hi) if mid <= a.theta else (lo, mid)
                 brackets.append((lo, hi))
                 continue
-            if len(probes) == 200:
+            if len(probes) == _MAX_PROBES:
+                # the CSV's note column is not quoted: no commas
+                note = (
+                    f"stopped after {_MAX_PROBES} probes with the bracket {hi - lo:.3g} "
+                    f"wide (over rel_tol {query.rel_tol:g} times its upper end)"
+                )
                 break
             if ahead is not None:
                 above = _guess_above(mid, a, b, target)
@@ -453,6 +464,7 @@ def max_sustainable_intensity(query: CapacityQuery) -> CapacityResult:
         brackets=tuple(brackets),
         probes=tuple(probes),
         query=query,
+        note=note,
     )
 
 

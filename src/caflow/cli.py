@@ -42,6 +42,8 @@ from .capacity import EXACT_MAX_STATES
 from .ctmc import (
     DEFAULT_STATE_BUDGET,
     Truncation,
+    _at_blas_threads,
+    _openblas_builds,
     build_generator,
     enumerate_states,
     solve_model,
@@ -802,6 +804,23 @@ def _check_band_truncation():
     )
 
 
+def _check_blas_thread_independence():
+    # the band-truncation point solved with the process at two BLAS threads
+    # and at one: solves run on one thread, so the answers are the same bytes
+    if not _openblas_builds():
+        return "no OpenBLAS build loaded"
+    cfg = CellConfig.single_area(1, 2)
+    traffic = TrafficMix(2.1, 0.5, 1.0)  # rho = 0.7
+    answers = []
+    for count in (2, 1):
+        with _at_blas_threads(count):
+            report, dist = solve_model(cfg, traffic, Policy.JFQ)
+        answers.append(dist.pi.tobytes() + repr(report).encode())
+    if answers[0] != answers[1]:
+        raise CheckFailed("two and one BLAS threads gave different answers")
+    return f"{len(dist.pi)} states, identical answers at two and one BLAS threads"
+
+
 def _check_vb_conservation():
     worst = 0.0
     for c1, c2 in [(1, 2), ("1.3", "0.7"), (Fraction(5, 3), Fraction(7, 11))]:
@@ -844,6 +863,7 @@ VALIDATION_CHECKS = [
     ("routing-scale-invariance", _check_routing_scale_invariance),
     ("jfq-joins-fastest", _check_jfq_joins_fastest),
     ("band-truncation", _check_band_truncation),
+    ("blas-thread-independence", _check_blas_thread_independence),
     ("vb-conservation", _check_vb_conservation),
     ("csv-determinism", _check_csv_determinism),
 ]

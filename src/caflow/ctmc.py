@@ -36,11 +36,28 @@ independent queues), the first K is a module constant, and a cap whose share
 of the dropped mass misses half the target steps straight to the cap its
 measured tail predicts. In its lattice a class with zero arrival rate has no
 axis.
+
+Every solve runs on one BLAS thread. :func:`solve_stationary`,
+:func:`throughputs_from_distribution` and :func:`solve_model` run inside a
+re-entrant scope that sets each OpenBLAS build loaded in the process to one
+thread and gives the caller back its own count on exit, also when the call
+raises. The BLAS calls of a solve (GMRES's orthogonalisation, SuperLU's
+dense blocks, the expectations over pi) are too short for more threads to
+shorten them, and an OpenBLAS reduction sums in an order set by its thread
+count, so one thread makes every answer a function of its inputs alone,
+whatever the machine's core count. The builds are found on first use, from
+the libraries mapped into the process; where there is no OpenBLAS (MKL,
+reference BLAS, or no ``/proc/self/maps``) the scope does nothing.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -102,6 +119,94 @@ _DECAY_SHELLS = 2
 
 #: int64 headroom for lattice keys and fastest-queue cross-products
 _INT64_HEADROOM = 2**62
+
+#: (get, set) thread-count functions of an OpenBLAS build: numpy's bundled
+#: 64-bit-integer build, scipy's bundled build, and a plain one
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _openblas_builds() -> tuple:
+    # the (get, set) thread-count functions of each OpenBLAS build mapped
+    # into this process, read once from /proc/self/maps; none where that
+    # file does not exist or no mapped library exports them
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = dict.fromkeys(
+                line.split(maxsplit=5)[-1].strip() for line in maps if "openblas" in line
+            )
+    except OSError:
+        return ()
+    builds = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:  # unmapped since, or not a library
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            get, put = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                builds.append((get, put))
+                break
+    return tuple(builds)
+
+
+def _set_blas_threads(counts: int | Sequence[int]) -> list[int]:
+    """Set each loaded OpenBLAS build's thread count, to one count for all or
+    to one count per build, and return the counts the builds had."""
+    builds = _openblas_builds()
+    if isinstance(counts, int):
+        counts = [counts] * len(builds)
+    previous = [get() for get, _ in builds]
+    for (_, put), count in zip(builds, counts):
+        put(count)
+    return previous
+
+
+@contextlib.contextmanager
+def _at_blas_threads(count: int):
+    # the process at ``count`` BLAS threads for the block, the caller's
+    # counts restored after it
+    saved = _set_blas_threads(count)
+    try:
+        yield
+    finally:
+        _set_blas_threads(saved)
+
+
+class _OneBlasThread(contextlib.ContextDecorator):
+    # re-entrant scope in which every loaded OpenBLAS build runs one thread;
+    # the depth is counted under a lock, so nested scopes and scopes in
+    # concurrent threads set the count at the outermost entry only and
+    # restore the caller's at the outermost exit
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved: list[int] = []
+
+    def __enter__(self):
+        with self._lock:
+            if self._depth == 0:
+                self._saved = _set_blas_threads(1)
+            self._depth += 1
+        return self
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                _set_blas_threads(self._saved)
+        return False
+
+
+_one_blas_thread = _OneBlasThread()
 
 
 @dataclass(frozen=True)
@@ -460,8 +565,20 @@ def _reduced_system(qt):
     # pi_0 = 1 for the empty state (state 0), which every state reaches, so
     # dropping its balance equation and unknown leaves a non-singular system
     # Q^T[1:, 1:] y = -Q^T[1:, 0] (Stewart 1994, ch. 2 and 5); each column of
-    # that system is diagonally dominant, so its factors may skip pivoting
-    return qt[1:, 1:], -qt[1:, 0].toarray().ravel()
+    # that system is diagonally dominant, so its factors may skip pivoting.
+    # Both parts are cut from qt's CSC arrays, entries in their given order.
+    n, ptr, rows, vals = qt.shape[0], qt.indptr, qt.indices, qt.data
+    c0 = ptr[1]  # column 0 ends here
+    # column 0 below row 0, negated once filled, so that its empty entries
+    # are -0.0, as in the negated dense slice -Q^T[1:, 0]
+    head = rows[:c0] > 0
+    col = np.zeros(n - 1)
+    col[rows[:c0][head] - 1] = vals[:c0][head]
+    # columns 1.. without their row-0 entries
+    kept = rows[c0:] > 0
+    indptr = np.concatenate(([0], np.cumsum(kept)))[ptr[1:] - c0]
+    a = sp.csc_matrix((vals[c0:][kept], rows[c0:][kept] - 1, indptr), shape=(n - 1, n - 1))
+    return a, -col
 
 
 def _solve_reduced_lu(qt, lu_options):
@@ -490,6 +607,7 @@ def _solve_reduced(qt, unif, ilu_options):
     return x
 
 
+@_one_blas_thread
 def solve_stationary(gen: Generator) -> StationaryDistribution:
     """Stationary distribution of the truncated chain.
 
@@ -619,6 +737,7 @@ def _diagnostics(dist: StationaryDistribution, grew: int = 0) -> SolveDiagnostic
     )
 
 
+@_one_blas_thread
 def throughputs_from_distribution(
     dist: StationaryDistribution, diagnostics: SolveDiagnostics | None = None
 ) -> ThroughputReport:
@@ -717,6 +836,7 @@ def first_lattice_states(cfg: CellConfig, traffic: TrafficMix, policy: Policy = 
     return _lattice_size(len(_free_axes(cfg, traffic)), initial_max_total(cfg, traffic, policy))
 
 
+@_one_blas_thread
 def solve_model(
     cfg: CellConfig,
     traffic: TrafficMix,

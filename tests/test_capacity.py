@@ -253,6 +253,23 @@ def test_a_stalled_aim_falls_back_to_midpoints(monkeypatch, share):
         result = max_sustainable_intensity(query)
         assert result.brackets == brackets
         assert len(result.probes) <= probes + 1
+        assert result.note == ""
+
+
+def test_the_probe_cap_answers_from_a_flagged_bracket(monkeypatch):
+    # a search stopped by the cap returns theta* from the bracket it reached
+    # and says so, with the bracket's width, in a note that fits a CSV cell
+    monkeypatch.setattr(capacity, "_make_evaluator", _power_evaluator(50))
+    monkeypatch.setattr(capacity, "_MAX_PROBES", 2)
+    query = CapacityQuery(cfg=CellConfig.single_area(1, 1), phi=0.0, target_gamma=1.0,
+                          evaluator="ctmc", rel_tol=1e-6)
+    result = max_sustainable_intensity(query)
+    lo, hi = result.brackets[-1]
+    assert hi - lo > query.rel_tol * hi
+    assert len(result.probes) == 3
+    assert result.theta_star == 0.5 * (lo + hi) == result.probes[-1].theta
+    assert result.note.startswith(f"stopped after 2 probes with the bracket {hi - lo:.3g} wide")
+    assert "," not in result.note
 
 
 def _theta_star(cfg, phi, target, evaluator):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import caflow.cli as cli
+from caflow import ctmc
 from caflow.cli import (
     RunSpec,
     SweepGrid,
@@ -325,12 +326,14 @@ def test_main_sweep_orders_rows(tmp_path):
 
 
 def test_sweep_parallel_matches_serial(tmp_path, monkeypatch):
+    # rho = 0.7 at phi = 0.5 is an 11,538-state lattice; the parallel run
+    # starts with the process at two BLAS threads and the serial one at one
     cfg = write_cfg(tmp_path, MINIMAL.replace("areas.1.c2 = 1", "areas.1.c2 = 2"))
-    grid = ["--rhos", "0.3,0.6", "--phis", "0,0.5,1"]
-    monkeypatch.setenv(cli.WORKERS_ENV, "2")
-    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "par"), *grid]) == 0
-    monkeypatch.setenv(cli.WORKERS_ENV, "1")
-    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "ser"), *grid]) == 0
+    grid = ["--rhos", "0.3,0.6,0.7", "--phis", "0,0.5,1"]
+    for workers, threads, out in (("2", 2, "par"), ("1", 1, "ser")):
+        monkeypatch.setenv(cli.WORKERS_ENV, workers)
+        with ctmc._at_blas_threads(threads):
+            assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / out), *grid]) == 0
     assert (tmp_path / "par" / "sweep.csv").read_bytes() == \
         (tmp_path / "ser" / "sweep.csv").read_bytes()
 
@@ -583,6 +586,11 @@ def test_run_validate_passes(capsys):
     out = capsys.readouterr().out
     assert out.count("[PASS]") == len(cli.VALIDATION_CHECKS)
     assert "FAIL" not in out
+
+
+def test_blas_check_passes_where_there_is_no_openblas(monkeypatch):
+    monkeypatch.setattr(cli, "_openblas_builds", lambda: ())
+    assert cli._check_blas_thread_independence() == "no OpenBLAS build loaded"
 
 
 def test_run_validate_detects_corrupted_generator(capsys, monkeypatch):

@@ -460,6 +460,26 @@ def test_level_order_keeps_the_empty_state_first():
         assert ctmc._ilu_plan(space) == (None, ctmc._LU_MIN_DEGREE)
 
 
+@pytest.mark.parametrize("policy, phi", [(Policy.JFQ, 0.5), (Policy.JFQ, 1.0),
+                                         (Policy.BERNOULLI, 0.0)])
+def test_reduced_system_is_the_sliced_generator(policy, phi):
+    # the reduced system cut from the CSC arrays equals scipy's slices of
+    # Q^T bit for bit, signed zeros of the right-hand side included, in the
+    # lexicographic order and in the population-level order of the ILU
+    cfg = single(1, 2)
+    traffic = TrafficMix(0.6 * harmonic_capacity(cfg), phi, 1.0)
+    gen = ctmc._truncated_generator(cfg, traffic, Truncation(24, 6), policy, 10**6)
+    qt = gen.Q.T.tocsc()
+    order, _ = ctmc._ilu_plan(gen.space)
+    for m in (qt, qt if order is None else qt[order][:, order]):
+        a, b = ctmc._reduced_system(m)
+        want_a, want_b = m[1:, 1:], -m[1:, 0].toarray().ravel()
+        assert a.format == "csc" and a.shape == want_a.shape
+        for got, want in ((a.data, want_a.data), (a.indices, want_a.indices),
+                          (a.indptr, want_a.indptr), (b, want_b)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def gmres_must_not_run(*args, **kwargs):
     raise AssertionError("GMRES ran on a lattice of one or two axes")
 
@@ -871,3 +891,83 @@ def test_solve_model_caps_heuristic_start_at_the_budget():
 def test_truncation_validation():
     with pytest.raises(ConfigError):
         Truncation(max_total=0)
+
+
+# --- one BLAS thread -----------------------------------------------------------
+
+needs_openblas = pytest.mark.skipif(
+    not ctmc._openblas_builds(), reason="no OpenBLAS build loaded"
+)
+
+#: (1, 2) at phi = 0.5, rho = 0.7 under JFQ: 11,538 states, whose BLAS calls
+#: OpenBLAS splits over threads when it has more than one
+BLAS_POINT = (single(1, 2), TrafficMix(2.1, 0.5, 1.0))
+
+
+def blas_threads():
+    return [get() for get, _ in ctmc._openblas_builds()]
+
+
+def at_blas_threads(count, call):
+    with ctmc._at_blas_threads(count):
+        return call()
+
+
+@needs_openblas
+def test_answers_are_the_same_bits_at_two_blas_threads_and_one():
+    cfg, traffic = BLAS_POINT
+    solved = [at_blas_threads(n, lambda: solve_model(cfg, traffic)) for n in (2, 1)]
+    (report, dist), (report_1, dist_1) = solved
+    assert len(dist.pi) == 11_538
+    assert dist.pi.tobytes() == dist_1.pi.tobytes()
+    assert (report, dist.residual) == (report_1, dist_1.residual)
+    # the public steps called directly, outside solve_model
+    diag = report.diagnostics
+    gen = ctmc._truncated_generator(
+        cfg, traffic, Truncation(diag.max_total, diag.band), Policy.JFQ,
+        ctmc.DEFAULT_STATE_BUDGET,
+    )
+    direct = [at_blas_threads(n, lambda: solve_stationary(gen)) for n in (2, 1)]
+    assert direct[0].pi.tobytes() == direct[1].pi.tobytes() == dist.pi.tobytes()
+    assert direct[0].residual == direct[1].residual
+    reports = [at_blas_threads(n, lambda: throughputs_from_distribution(dist)) for n in (2, 1)]
+    assert reports[0] == reports[1]
+
+
+@needs_openblas
+def test_a_solve_runs_on_one_blas_thread_and_restores_the_callers(monkeypatch):
+    seen = []
+    blocking = ctmc.blocking_mass
+
+    def recording(gen, pi):
+        seen.append(blas_threads())
+        return blocking(gen, pi)
+
+    monkeypatch.setattr(ctmc, "blocking_mass", recording)
+    with ctmc._at_blas_threads(2):
+        caller = blas_threads()
+        one = [1] * len(caller)
+        solve_stationary(mixed_gen(max_total=6))
+        solve_model(single(1, 2), TrafficMix(1.5, 0.5, 1.0))
+        assert seen and all(counts == one for counts in seen)
+        assert blas_threads() == caller
+        # a solve that raises gives the count back too
+        gen = mixed_gen(rho=0.5, phi=0.5, max_total=12)
+        bad = gen.Q.tolil()
+        bad[0, 0] = 1.0
+        with pytest.raises(ConvergenceError):
+            solve_stationary(dataclasses.replace(gen, Q=bad.tocsr()))
+        assert blas_threads() == caller
+        # nested scopes set the count once and restore it once
+        with ctmc._one_blas_thread:
+            with ctmc._one_blas_thread:
+                assert blas_threads() == one
+            assert blas_threads() == one
+        assert blas_threads() == caller
+
+
+def test_without_openblas_the_scope_does_nothing(monkeypatch):
+    monkeypatch.setattr(ctmc, "_openblas_builds", lambda: ())
+    assert ctmc._set_blas_threads(1) == []
+    report, dist = solve_model(single(1, 2), TrafficMix(1.5, 0.5, 1.0))
+    assert dist.residual <= SOLVE_TOL
