@@ -260,13 +260,6 @@ def _look_ahead_enabled(query: CapacityQuery) -> bool:
     )
 
 
-def _guess_above(theta: float, lo: Probe, hi: Probe, target: float) -> bool:
-    """Guess whether gamma(theta) exceeds the target, by linear interpolation
-    between the bracket ends' known gammas."""
-    gamma = lo.gamma + (hi.gamma - lo.gamma) * (theta - lo.theta) / (hi.theta - lo.theta)
-    return gamma > target
-
-
 def _run_probe(evaluator, theta: float, probe_id: int, conn) -> None:
     """Body of a look-ahead helper: send back ``(True, probe)`` or ``(False, error)``."""
     try:
@@ -347,13 +340,18 @@ def _leaf(lo: float, hi: float, root: float, rel_tol: float) -> tuple[float, flo
     return lo, hi
 
 
+def _interpolated_root(a: Probe, b: Probe, target: float) -> float:
+    """The theta at which the line through ``a`` and ``b`` meets the target."""
+    return a.theta + (a.gamma - target) * (b.theta - a.theta) / (a.gamma - b.gamma)
+
+
 def _aim(lo: float, hi: float, a: Probe, b: Probe, target: float, rel_tol: float) -> float:
     """Where an exact probe goes: the end of the bisection leaf around the
     target's linear interpolation s between ``a`` and ``b`` that lies
     strictly inside (a, b) and closer to s. Should rounding leave neither
     end inside, it is the midpoint of (lo, hi).
     """
-    s = a.theta + (a.gamma - target) * (b.theta - a.theta) / (a.gamma - b.gamma)
+    s = _interpolated_root(a, b, target)
     ends = [t for t in _leaf(lo, hi, s, rel_tol) if a.theta < t < b.theta]
     return min(ends, key=lambda t: abs(t - s), default=0.5 * (lo + hi))
 
@@ -385,10 +383,13 @@ def max_sustainable_intensity(query: CapacityQuery) -> CapacityResult:
     With the simulator on at least two CPUs, and where ``fork`` is available
     and the caller is not a daemonic process, the search looks ahead: while
     the caller computes the probe it needs, a forked helper computes the next
-    one at the midpoint the search is guessed to pick, by interpolating the
-    bracket ends' throughputs. A helper whose probe leaves the search's path
-    is terminated, and none outlives the call. Every probe, bracket and theta*
-    is the one the serial search gives.
+    one at the midpoint the search is guessed to pick: the probe is guessed
+    to come out above the target if its theta lies below the root
+    interpolated between the bracket ends' throughputs
+    (:func:`_interpolated_root`, which also aims the exact probes). A helper
+    whose probe leaves the search's path is terminated, and none outlives
+    the call. Every probe, bracket and theta* is the one the serial search
+    gives.
     """
     cfg, phi = query.cfg, query.phi
     gamma0 = zero_load_edge_throughput(cfg, phi, cfg.edge, query.policy)
@@ -436,7 +437,7 @@ def max_sustainable_intensity(query: CapacityQuery) -> CapacityResult:
                 )
                 break
             if ahead is not None:
-                above = _guess_above(mid, a, b, target)
+                above = mid < _interpolated_root(a, b, target)
                 then = 0.5 * (mid + hi) if above else 0.5 * (lo + mid)
                 probe = ahead(mid, len(probes), then)
             else:

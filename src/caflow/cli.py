@@ -42,7 +42,7 @@ from .capacity import EXACT_MAX_STATES
 from .ctmc import (
     DEFAULT_STATE_BUDGET,
     Truncation,
-    _at_blas_threads,
+    _BlasThreads,
     _openblas_builds,
     build_generator,
     enumerate_states,
@@ -813,7 +813,7 @@ def _check_blas_thread_independence():
     traffic = TrafficMix(2.1, 0.5, 1.0)  # rho = 0.7
     answers = []
     for count in (2, 1):
-        with _at_blas_threads(count):
+        with _BlasThreads(count):
             report, dist = solve_model(cfg, traffic, Policy.JFQ)
         answers.append(dist.pi.tobytes() + repr(report).encode())
     if answers[0] != answers[1]:

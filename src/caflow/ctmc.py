@@ -27,8 +27,10 @@ compares (Kuntz, Thomas, Stan & Barahona, SIAM Review 2021, on truncation
 sets; Tweedie, J. Appl. Probab. 1998, on bounds from the mass that leaves
 them). Routing pools the carriers, so pi decays geometrically in d; arrivals
 and departures that would cross the band's edge are dropped, and so are the
-band states that do not communicate with the empty state. Coin-flip routing
-and DC-only traffic have no balance and keep the simplex of totals.
+band states that do not communicate with the empty state: the class that
+does is sliced out of the band's generator, or built afresh if one of its
+states leads out of it. Coin-flip routing and DC-only traffic have no
+balance and keep the simplex of totals.
 :func:`solve_model` sizes both caps from measured tails within the state
 budget: the first N takes the pooled-queue prefactor of blocking(N) ~ p rho^N,
 p = 1 - rho (or, for coin-flip routing of SC-only traffic, the tail of two
@@ -169,24 +171,14 @@ def _set_blas_threads(counts: int | Sequence[int]) -> list[int]:
     return previous
 
 
-@contextlib.contextmanager
-def _at_blas_threads(count: int):
-    # the process at ``count`` BLAS threads for the block, the caller's
-    # counts restored after it
-    saved = _set_blas_threads(count)
-    try:
-        yield
-    finally:
-        _set_blas_threads(saved)
-
-
-class _OneBlasThread(contextlib.ContextDecorator):
-    # re-entrant scope in which every loaded OpenBLAS build runs one thread;
-    # the depth is counted under a lock, so nested scopes and scopes in
-    # concurrent threads set the count at the outermost entry only and
+class _BlasThreads(contextlib.ContextDecorator):
+    # re-entrant scope in which every loaded OpenBLAS build runs ``count``
+    # threads; the depth is counted under a lock, so nested scopes and scopes
+    # in concurrent threads set the count at the outermost entry only and
     # restore the caller's at the outermost exit
 
-    def __init__(self):
+    def __init__(self, count: int):
+        self._count = count
         self._lock = threading.Lock()
         self._depth = 0
         self._saved: list[int] = []
@@ -194,7 +186,7 @@ class _OneBlasThread(contextlib.ContextDecorator):
     def __enter__(self):
         with self._lock:
             if self._depth == 0:
-                self._saved = _set_blas_threads(1)
+                self._saved = _set_blas_threads(self._count)
             self._depth += 1
         return self
 
@@ -206,7 +198,7 @@ class _OneBlasThread(contextlib.ContextDecorator):
         return False
 
 
-_one_blas_thread = _OneBlasThread()
+_one_blas_thread = _BlasThreads(1)
 
 
 @dataclass(frozen=True)
@@ -581,24 +573,20 @@ def _reduced_system(qt):
     return a, -col
 
 
-def _solve_reduced_lu(qt, lu_options):
+def _solve_reduced(qt, unif, options, exact):
+    # the vector with pi_0 = 1 that solves the reduced system: by its exact
+    # LU factor alone, or by GMRES preconditioned with its incomplete factor
     a, b = _reduced_system(qt)
+    factor, name = (spla.splu, "sparse LU") if exact else (spla.spilu, "ILU preconditioner")
     try:
-        lu = spla.splu(a, **lu_options)
+        lu = factor(a, **options)
     except RuntimeError as exc:  # a zero pivot: the factor is singular
-        raise ConvergenceError(f"sparse LU failed: {exc}") from exc
-    return np.concatenate(([1.0], lu.solve(b)))
-
-
-def _solve_reduced(qt, unif, ilu_options):
-    a, b = _reduced_system(qt)
-    try:
-        ilu = spla.spilu(a, **ilu_options)
-    except RuntimeError as exc:  # zero pivot in the incomplete factors
-        raise ConvergenceError(f"ILU preconditioner failed: {exc}") from exc
+        raise ConvergenceError(f"{name} failed: {exc}") from exc
+    if exact:
+        return np.concatenate(([1.0], lu.solve(b)))
     y, info = spla.gmres(
         a, b, rtol=_GMRES_RTOL, atol=0.0, restart=_GMRES_RESTART,
-        M=spla.LinearOperator(a.shape, ilu.solve),
+        M=spla.LinearOperator(a.shape, lu.solve),
     )
     x = np.concatenate(([1.0], y))
     if info != 0:
@@ -635,10 +623,10 @@ def solve_stationary(gen: Generator) -> StationaryDistribution:
     if n == 1:
         x = np.ones(1)
     elif order is None:
-        x = _solve_reduced_lu(qt, options)
+        x = _solve_reduced(qt, unif, options, exact=True)
     else:
         x = np.empty(n)
-        x[order] = _solve_reduced(qt[order][:, order], unif, options)
+        x[order] = _solve_reduced(qt[order][:, order], unif, options, exact=False)
     x = np.maximum(x, 0.0)
     total = x.sum()
     if not np.isfinite(total):
@@ -911,7 +899,9 @@ def _truncated_generator(
     # the generator solve_model solves on the lattice of trunc; a band can cut
     # every path between the empty state and some of its states, so a band
     # keeps only the states that the empty state reaches and that reach it
-    # (its communicating class), and the reduced solve stays non-singular
+    # (its communicating class), and the reduced solve stays non-singular.
+    # The class is sliced out of the band's one assembly, or built afresh in
+    # the case, met on no band lattice so far, where it leads out of itself
     space = enumerate_states(cfg, trunc, max_states, traffic=traffic, policy=policy)
     gen = build_generator(cfg, traffic, space, policy)
     if space.truncation.band is None:
@@ -924,52 +914,21 @@ def _truncated_generator(
     keep = label == label[0]
     if keep.all():
         return gen
-    return _cut_class(gen, keep)
+    return _cut_class(gen, keep, policy)
 
 
-def _move_slots(space: StateSpace, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    # build_generator's slot of each transition rows -> cols: per area j,
-    # arrivals on components 3j, 3j + 1, 3j + 2 in slots 6j..6j + 2, then
-    # departures from them in 6j + 3..6j + 5, so slot % 3 == 2 is a DC move.
-    # A transition moves one component by one, so its key step names both.
-    steps, slots = zip(*sorted(
-        (s * int(space._strides[c]), 6 * (c // 3) + (0 if s > 0 else 3) + c % 3)
-        for c, r in enumerate(space._radix) if r > 1 for s in (-1, 1)
-    ))
-    return np.array(slots)[np.searchsorted(steps, space.keys[cols] - space.keys[rows])]
-
-
-def _cut_class(gen: Generator, keep: np.ndarray) -> Generator:
-    # the generator of the states in keep, cut out of gen: a transition into
-    # a cut state is dropped like one that leaves the lattice, and a state
-    # that loses one has its outflow summed again over the rest in the order
-    # build_generator adds them, so Q and unif equal a fresh build on the
-    # kept states entry for entry (dropped sums in another order)
-    q = gen.Q
+def _cut_class(gen: Generator, keep: np.ndarray, policy: Policy) -> Generator:
+    # the generator of the states in keep, equal to a fresh build on them
+    # entry for entry. Where no kept state has a transition into a cut state,
+    # every kept row is whole, so it is gen's rows and columns of keep;
+    # otherwise build_generator runs on the kept states, which drops such a
+    # transition like one that leaves the lattice and sums the outflow anew
     space = StateSpace(gen.space.counts[keep], gen.space.truncation)
-    index = np.cumsum(keep) - 1
-    rows = np.repeat(np.arange(len(keep)), np.diff(q.indptr))
-    lost = keep[rows] & ~keep[q.indices]
-    src, rate = rows[lost], q.data[lost]
-    dc = _move_slots(gen.space, src, q.indices[lost]) % 3 == 2
-    dropped = {
-        cls: gen.dropped[cls][keep]
-        + np.bincount(index[src[at]], weights=rate[at], minlength=len(space))
-        for cls, at in (("sc", ~dc), ("dc", dc))
-    }
-    sub = q[keep][:, keep]
-    # the entries of the rows that lost a transition, row by row: their
-    # outflow is summed again in slot order into their diagonal entry
-    hit = np.unique(index[src])
-    lo, size = sub.indptr[hit], np.diff(sub.indptr)[hit]
-    at = np.arange(size.sum()) + np.repeat(lo - np.cumsum(size) + size, size)
-    row = np.repeat(np.arange(len(hit)), size)
-    diag = sub.indices[at] == hit[row]
-    row, at_move = row[~diag], at[~diag]
-    order = np.lexsort((_move_slots(space, hit[row], sub.indices[at_move]), row))
-    outflow = np.bincount(row[order], weights=sub.data[at_move[order]], minlength=len(hit))
-    sub.data[at[diag]] = -outflow
+    rows = gen.Q[keep]
+    if not keep[rows.indices].all():
+        return build_generator(gen.cfg, gen.traffic, space, policy)
+    sub = rows[:, keep]
     return Generator(
         Q=sub, unif=float((-sub.diagonal()).max(initial=0.0)), space=space, cfg=gen.cfg,
-        traffic=gen.traffic, dropped=dropped,
+        traffic=gen.traffic, dropped={cls: rate[keep] for cls, rate in gen.dropped.items()},
     )

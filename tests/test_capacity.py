@@ -1,4 +1,5 @@
 import itertools
+import math
 import multiprocessing
 import os
 import time
@@ -337,6 +338,12 @@ def _search(monkeypatch, query, look_ahead):
         assert multiprocessing.active_children() == []
 
 
+def wrong_root(above):
+    # a root that makes every look-ahead guess wrong: on the simulator the
+    # probes (a, b) are the bracket, whose midpoint is the probe guessed on
+    return lambda a, b, target: -math.inf if above[0.5 * (a.theta + b.theta)] else math.inf
+
+
 def test_sim_probe_without_an_edge_estimate_is_a_convergence_error(monkeypatch):
     # at phi = 0.9999 the edge area sees too few DC completions for an
     # estimate even after every doubling; the look-ahead raises the same
@@ -373,8 +380,7 @@ def test_look_ahead_gives_the_serial_search(monkeypatch):
     assert len(ahead_hits) == len(serial.probes) and any(ahead_hits)
 
     ahead_hits.clear()
-    monkeypatch.setattr(capacity, "_guess_above",
-                        lambda theta, lo, hi, target: not above[theta])
+    monkeypatch.setattr(capacity, "_interpolated_root", wrong_root(above))
     assert _search(monkeypatch, query, True) == serial
     assert not any(ahead_hits)
 
@@ -419,8 +425,7 @@ def test_look_ahead_answers_for_a_helper_only_on_the_path(monkeypatch, where):
     assert str(err.value) == f"probe 3 at theta={serial.probes[3].theta!r}"
     # off the path (every guess wrong) a helper's error is never read
     above = {p.theta: p.gamma > query.target_gamma for p in serial.probes}
-    monkeypatch.setattr(capacity, "_guess_above",
-                        lambda theta, lo, hi, target: not above[theta])
+    monkeypatch.setattr(capacity, "_interpolated_root", wrong_root(above))
     assert _search(monkeypatch, query, True) == serial
 
 

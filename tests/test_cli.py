@@ -332,7 +332,7 @@ def test_sweep_parallel_matches_serial(tmp_path, monkeypatch):
     grid = ["--rhos", "0.3,0.6,0.7", "--phis", "0,0.5,1"]
     for workers, threads, out in (("2", 2, "par"), ("1", 1, "ser")):
         monkeypatch.setenv(cli.WORKERS_ENV, workers)
-        with ctmc._at_blas_threads(threads):
+        with ctmc._BlasThreads(threads):
             assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / out), *grid]) == 0
     assert (tmp_path / "par" / "sweep.csv").read_bytes() == \
         (tmp_path / "ser" / "sweep.csv").read_bytes()

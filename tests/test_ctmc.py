@@ -511,6 +511,26 @@ def test_one_and_two_axis_lattices_are_factored_exactly(
     assert np.abs(dist.pi - direct_reduced_stationary(gen)).sum() <= 1e-12
 
 
+def cut_off_state_3(gen):
+    # gen with no transition into or out of state 3 and its row sums
+    # restored: the reduced system has a zero column and cannot be factored
+    q = gen.Q.tolil()
+    q[3, :] = 0.0
+    q[:, 3] = 0.0
+    q = q.tocsr()
+    return dataclasses.replace(gen, Q=(q - sp.diags(np.asarray(q.sum(axis=1)).ravel())).tocsr())
+
+
+def test_a_singular_factor_is_a_convergence_error():
+    cfg, traffic = single(1, 2), TrafficMix(1.5, 1.0, 1.0)
+    space = enumerate_states(cfg, Truncation(8), traffic=traffic)
+    two_axes = build_generator(cfg, traffic, space, Policy.JFQ)
+    with pytest.raises(ConvergenceError, match="sparse LU failed"):
+        solve_stationary(cut_off_state_3(two_axes))
+    with pytest.raises(ConvergenceError, match="ILU preconditioner failed"):
+        solve_stationary(cut_off_state_3(mixed_gen(max_total=8)))
+
+
 def test_symmetric_capacities_give_symmetric_marginals():
     cfg = single(2, 2)
     traffic = TrafficMix(2.0, 0.7, 1.0)
@@ -703,10 +723,12 @@ def test_band_class_is_cut_out_of_one_assembly(monkeypatch, cfg, phi, policy):
     # here no state of the class leads out of it, so also cut a set whose
     # states lose transitions: the band without its states of two SC flows
     # on carrier 1 of area 1, next to which states keep both arrivals and
-    # departures
+    # departures; that set is built afresh, once
     keep = band.counts[:, 0] != 2
     whole = build_generator(cfg, traffic, band, policy)
-    cut = ctmc._cut_class(whole, keep)
+    builds.clear()
+    cut = ctmc._cut_class(whole, keep, policy)
+    assert len(builds) == 1
     assert_same_generator(
         cut, build_generator(cfg, traffic, StateSpace(band.counts[keep], band.truncation), policy)
     )
@@ -909,7 +931,7 @@ def blas_threads():
 
 
 def at_blas_threads(count, call):
-    with ctmc._at_blas_threads(count):
+    with ctmc._BlasThreads(count):
         return call()
 
 
@@ -944,7 +966,7 @@ def test_a_solve_runs_on_one_blas_thread_and_restores_the_callers(monkeypatch):
         return blocking(gen, pi)
 
     monkeypatch.setattr(ctmc, "blocking_mass", recording)
-    with ctmc._at_blas_threads(2):
+    with ctmc._BlasThreads(2):
         caller = blas_threads()
         one = [1] * len(caller)
         solve_stationary(mixed_gen(max_total=6))
