@@ -14,7 +14,6 @@ from .errors import (
     ConfigError,
     ConvergenceError,
     DegenerateSolveError,
-    EmptyCarrierError,
     InfeasibleTargetError,
     StateSpaceTooLargeError,
     UnstableSystemError,
@@ -24,19 +23,16 @@ from .model import (
     AreaSpec,
     CellConfig,
     Policy,
-    SystemState,
     TrafficMix,
-    dc_aggregate_rate,
+    departure_rates,
     dc_only_throughput,
     fluid_total_drift,
     harmonic_capacity,
     mixed_mean_throughput,
     offered_load,
-    per_user_rates,
     ring_area_probabilities,
     sc_carrier1_share,
     theta_approximation,
-    vb_split,
 )
 
 __version__ = "0.1.0"

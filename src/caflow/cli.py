@@ -60,15 +60,13 @@ from .model import (
     AreaSpec,
     CellConfig,
     Policy,
-    SystemState,
     TrafficMix,
-    dc_aggregate_rate,
+    departure_rates,
     harmonic_capacity,
     mixed_mean_throughput,
     offered_load,
     ring_area_probabilities,
     sc_carrier1_share,
-    vb_split,
 )
 from .sim import CI_LEVEL, Stop, Warmup, simulate
 
@@ -821,21 +819,50 @@ def _check_blas_thread_independence():
     return f"{len(dist.pi)} states, identical answers at two and one BLAS threads"
 
 
-def _check_vb_conservation():
-    worst = 0.0
-    for c1, c2 in [(1, 2), ("1.3", "0.7"), (Fraction(5, 3), Fraction(7, 11))]:
-        cfg = CellConfig.single_area(c1, c2)
-        for n1 in range(4):
-            for n2 in range(4):
-                for m in range(1, 4):
-                    state = SystemState((n1, n2, m))
-                    for dt in (1e-3, 0.25, 2.0):
-                        s1, s2 = vb_split(state, 0, cfg, dt)
-                        total = dc_aggregate_rate(state, 0, cfg) * dt
-                        worst = max(worst, abs(s1 + s2 - total) / max(total, 1e-30))
-    if worst > 1e-12:
-        raise CheckFailed(f"volume split misses the aggregate by {worst:.3e} (relative)")
-    return f"worst relative imbalance {worst:.2e}"
+def _check_engines_share_rates():
+    # every departure entry of a two-area mixed generator against the rate
+    # rule evaluated on Python ints, as the simulator evaluates it; then the
+    # rule against rates worked out by hand: (area caps, sigma, area counts,
+    # cell totals, SC-1, SC-2 and DC departure rates)
+    cfg = CellConfig(areas=(AreaSpec(10, 14, 0.5), AreaSpec(1, "1.4", 0.5)))
+    traffic = TrafficMix(2.0, 0.5, 1.5)
+    gen = build_generator(cfg, traffic, Truncation(max_total=5))
+    q = gen.Q.todok()
+    entries = 0
+    for i, state in enumerate(gen.space.counts.tolist()):
+        totals = sum(state[0::3]), sum(state[1::3]), sum(state[2::3])
+        for j, area in enumerate(cfg.areas):
+            rates = departure_rates(area, traffic.sigma, *state[3 * j:3 * j + 3], *totals)
+            for slot, rate in enumerate(rates):
+                if state[3 * j + slot]:
+                    to = list(state)
+                    to[3 * j + slot] -= 1
+                    entry = float(q[i, gen.space.index_of(to)])
+                    if entry != rate:
+                        raise CheckFailed(
+                            f"area {j + 1}'s {('SC-1', 'SC-2', 'DC')[slot]} flows leave "
+                            f"state {tuple(state)} at {entry!r} in the generator, {rate!r} "
+                            "by the rate rule"
+                        )
+                    entries += 1
+    anchors = [
+        ((1, 2), 2.0, (0, 0, 1), (0, 0, 1), (0.0, 0.0, 1.5)),  # a lone DC flow
+        ((1, 2), 2.0, (1, 0, 0), (1, 0, 0), (0.5, 0.0, 0.0)),  # a lone SC flow on 1
+        ((1, 2), 2.0, (0, 1, 0), (0, 1, 0), (0.0, 1.0, 0.0)),  # a lone SC flow on 2
+        ((10, 14), 1.0, (2, 3, 1), (2, 3, 1), (20 / 3, 10.5, 41 / 6)),
+        ((10, 14), 1.0, (1, 0, 1), (2, 3, 1), (10 / 3, 0.0, 41 / 6)),
+    ]
+    for (c1, c2), sigma, own, totals, want in anchors:
+        got = departure_rates(AreaSpec(c1, c2, 1.0), sigma, *own, *totals)
+        if not all(math.isclose(g, w, rel_tol=1e-12) for g, w in zip(got, want)):
+            raise CheckFailed(
+                f"area counts {own} of totals {totals} on {(c1, c2)} leave at {got}, "
+                f"by hand {want}"
+            )
+    return (
+        f"{entries} departure entries on {len(gen.space)} states follow the rate rule, "
+        f"{len(anchors)} hand-computed states hold"
+    )
 
 
 def _check_csv_determinism():
@@ -864,7 +891,7 @@ VALIDATION_CHECKS = [
     ("jfq-joins-fastest", _check_jfq_joins_fastest),
     ("band-truncation", _check_band_truncation),
     ("blas-thread-independence", _check_blas_thread_independence),
-    ("vb-conservation", _check_vb_conservation),
+    ("engines-share-rates", _check_engines_share_rates),
     ("csv-determinism", _check_csv_determinism),
 ]
 

@@ -79,6 +79,7 @@ from .model import (
     CellConfig,
     Policy,
     TrafficMix,
+    departure_rates,
     mixed_mean_throughput,
     offered_load,
     sc_balance,
@@ -425,8 +426,8 @@ def build_generator(
 
     Per area j: SC arrivals at the area rate go to the carrier chosen by the
     policy (split half/half on an exact tie); DC arrivals always increment the
-    DC count; SC departures occur at count * per-user-rate / sigma per
-    carrier; a DC departure occurs at count * (d1 + d2) / sigma. The space is
+    DC count; SC and DC departures occur at the rates of
+    :func:`~caflow.model.departure_rates`. The space is
     the truncation: a transition whose target is not one of its states is
     dropped, and its rate is recorded per class in ``dropped``. So every
     arrival from a state at the population cap is dropped, and on a band
@@ -479,19 +480,13 @@ def build_generator(
         if beta_j > 0:
             add("dc", idx, i3, +1, np.full(n, beta_j))
 
-        c1, c2 = cfg.areas[j].c1, cfg.areas[j].c2
-        sel = space.counts[:, i1] > 0
-        if sel.any():
-            rate = space.counts[sel, i1] * c1 / ((space.n1[sel] + space.m[sel]) * sigma)
-            add("sc", sel, i1, -1, rate)
-        sel = space.counts[:, i2] > 0
-        if sel.any():
-            rate = space.counts[sel, i2] * c2 / ((space.n2[sel] + space.m[sel]) * sigma)
-            add("sc", sel, i2, -1, rate)
-        sel = space.counts[:, i3] > 0
-        if sel.any():
-            agg = c1 / (space.n1[sel] + space.m[sel]) + c2 / (space.n2[sel] + space.m[sel])
-            add("dc", sel, i3, -1, space.counts[sel, i3] * agg / sigma)
+        leave = departure_rates(
+            cfg.areas[j], sigma, *space.counts[:, i1:i3 + 1].T, space.n1, space.n2, space.m
+        )
+        for comp, cls, rate in zip((i1, i2, i3), ("sc", "sc", "dc"), leave):
+            sel = space.counts[:, comp] > 0
+            if sel.any():
+                add(cls, sel, comp, -1, rate[sel])
 
     if all_rows:
         rows = np.concatenate(all_rows)

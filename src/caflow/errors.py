@@ -18,10 +18,6 @@ class ConfigError(CaflowError, ValueError):
         self.diagnostics = list(diagnostics or [])
 
 
-class EmptyCarrierError(CaflowError, ValueError):
-    """A per-user rate was requested on a carrier that serves no one."""
-
-
 class UnstableSystemError(CaflowError, ValueError):
     """A closed-form result was requested at or beyond the stability boundary."""
 

@@ -15,7 +15,9 @@ Conventions used throughout the package:
 * carrier peak rates are kept both as floats (numerics) and as exact
   rationals (routing-tie detection, which is an exact equality test);
 * SC routing is one rule, :func:`sc_carrier1_share`, used by the Markov
-  generator, the simulator and the validation suite alike.
+  generator, the simulator and the validation suite alike;
+* service rates are one rule, :func:`departure_rates`, used by the
+  generator, the simulator and ``validate``.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from typing import Sequence, Union
 
 from .errors import (
     ConfigError,
-    EmptyCarrierError,
     InfeasibleTargetError,
     UnstableSystemError,
     UnsupportedGeometryError,
@@ -266,84 +267,6 @@ class TrafficMix:
         return self.lambda_total * self.sigma
 
 
-@dataclass(frozen=True)
-class SystemState:
-    """Occupancy vector (n1_j, n2_j, m_j for each area j, in that order).
-
-    n1_j / n2_j count SC users of area j on carrier 1 / 2; m_j counts DC
-    users of area j (one variable: both carriers hold the same DC flows).
-    """
-
-    counts: tuple[int, ...]
-
-    def __post_init__(self):
-        counts = tuple(int(c) for c in self.counts)
-        if len(counts) == 0 or len(counts) % 3 != 0:
-            raise ConfigError(f"state length must be a positive multiple of 3, got {len(counts)}")
-        if any(c < 0 for c in counts):
-            raise ConfigError(f"state counts must be non-negative, got {counts}")
-        object.__setattr__(self, "counts", counts)
-
-    @property
-    def n1(self) -> int:
-        """SC users on carrier 1, all areas."""
-        return sum(self.counts[0::3])
-
-    @property
-    def n2(self) -> int:
-        """SC users on carrier 2, all areas."""
-        return sum(self.counts[1::3])
-
-    @property
-    def m(self) -> int:
-        """DC users, all areas."""
-        return sum(self.counts[2::3])
-
-
-# ---------------------------------------------------------------------------
-# rate functions and the volume-balancing split
-
-
-def per_user_rates(state: SystemState, j: int, cfg: CellConfig) -> tuple[float, float]:
-    """Per-user rates (d1, d2) seen in area j under processor sharing.
-
-    Carrier 1 serves n1 + m users in total, so each gets c1_j / (n1 + m);
-    same for carrier 2 with n2 + m. Raises if either carrier is empty,
-    because the corresponding rate is received by nobody.
-    """
-    n1m = state.n1 + state.m
-    n2m = state.n2 + state.m
-    if n1m == 0 or n2m == 0:
-        raise EmptyCarrierError(
-            f"no user on carrier {'1' if n1m == 0 else '2'}; its per-user rate is undefined"
-        )
-    area = cfg.areas[j]
-    return area.c1 / n1m, area.c2 / n2m
-
-
-def dc_aggregate_rate(state: SystemState, j: int, cfg: CellConfig) -> float:
-    """Total service rate of one DC user in area j: d1 + d2."""
-    if state.m < 1:
-        raise EmptyCarrierError("no DC user present; aggregate DC rate is undefined")
-    d1, d2 = per_user_rates(state, j, cfg)
-    return d1 + d2
-
-
-def vb_split(state: SystemState, j: int, cfg: CellConfig, dt: float) -> tuple[float, float]:
-    """Volumes (sigma1, sigma2) a DC flow in area j transfers per carrier over dt.
-
-    While the state is constant, volume balancing sends d1*dt over carrier 1
-    and d2*dt over carrier 2, so the residual volumes always stay in the
-    ratio d1:d2 and both carriers complete the flow simultaneously.
-    """
-    if state.m < 1:
-        raise EmptyCarrierError("volume balancing needs at least one DC user")
-    if not (dt > 0) or not math.isfinite(dt):
-        raise ConfigError(f"interval length must be > 0, got {dt!r}")
-    d1, d2 = per_user_rates(state, j, cfg)
-    return d1 * dt, d2 * dt
-
-
 # ---------------------------------------------------------------------------
 # load, drift, closed-form throughputs
 
@@ -482,3 +405,30 @@ def sc_carrier1_share(policy: Policy, area: AreaSpec, n1, n2, m):
         return area.c1 / (area.c1 + area.c2)
     lhs, rhs = balance
     return (lhs > rhs) + 0.5 * (lhs == rhs)
+
+
+# ---------------------------------------------------------------------------
+# service rates
+
+
+def departure_rates(area: AreaSpec, sigma: float, n1j, n2j, mj, n1, n2, m):
+    """Rates at which ``area``'s SC flows on carrier 1, its SC flows on
+    carrier 2 and its DC flows leave a state.
+
+    ``n1j``, ``n2j`` and ``mj`` are the area's counts and ``n1``, ``n2`` and
+    ``m`` the cell totals, as in :func:`sc_balance` (the rates are arrays
+    for array counts); ``sigma`` is the mean flow volume. Carrier k serves
+    its SC users and every DC user, so each gets c_k / (n_k + m) (processor
+    sharing), and volume balancing gives a DC flow the sum of both carriers'
+    rates. With exponential volumes the departure rate of a group is its
+    count times its per-user rate over sigma: n1j c1 / ((n1 + m) sigma),
+    n2j c2 / ((n2 + m) sigma) and mj (c1 / (n1 + m) + c2 / (n2 + m)) / sigma.
+    A zero count gives 0.0 without dividing by zero: an empty carrier is
+    counted as one user, which changes no rate of a flow present.
+    """
+    k1 = n1 + m
+    k2 = n2 + m
+    k1 = k1 + (k1 == 0)
+    k2 = k2 + (k2 == 0)
+    c1, c2 = area.c1, area.c2
+    return n1j * c1 / (k1 * sigma), n2j * c2 / (k2 * sigma), mj * (c1 / k1 + c2 / k2) / sigma

@@ -4,9 +4,10 @@ Because flow volumes are exponential and every class is served
 processor-sharing style, the occupancy counts form a Markov jump process and
 can be sampled exactly one transition at a time: draw an exponential holding
 time at the total event rate, pick the event proportionally to its rate,
-apply it. A DC flow is one customer served at the aggregate rate of both
-carriers (volume balancing completes it on both carriers simultaneously), so
-no per-carrier residual bookkeeping is needed.
+apply it. The departure rates are those of the Markov generator,
+:func:`caflow.model.departure_rates`: a DC flow is one customer served at the
+aggregate rate of both carriers (volume balancing completes it on both
+carriers simultaneously), so no per-carrier residual bookkeeping is needed.
 
 The event loop is resumable: a :class:`Trajectory` is advanced from stop to
 stop and reports on everything simulated so far, so a longer run extends a
@@ -52,7 +53,7 @@ import numpy as np
 from scipy.special import stdtrit
 
 from .errors import ConfigError
-from .model import CellConfig, Policy, TrafficMix, sc_carrier1_share
+from .model import CellConfig, Policy, TrafficMix, departure_rates, sc_carrier1_share
 
 #: groups with fewer post-warmup completions than this are not estimated
 MIN_GROUP_COMPLETIONS = 500
@@ -355,7 +356,6 @@ def _event_loop(cfg, traffic, routing, seed, stream, collect_trace, groups, done
     n_areas = cfg.n_areas
     areas = cfg.areas
     sigma = float(traffic.sigma)
-    caps = [(a.c1, a.c2) for a in areas]
     # arrival rates never change: alpha_j, beta_j per area, then their total;
     # Python floats keep numpy scalars out of the per-event arithmetic
     rates: list[float] = []
@@ -422,14 +422,10 @@ def _event_loop(cfg, traffic, routing, seed, stream, collect_trace, groups, done
                         counts, totals = _key_counts(key, n_areas)
                     counted = key
                 n1, n2, m = totals
-                k1 = n1 + m
-                k2 = n2 + m
                 total_rate = arrival_total
                 i = n_arrival
-                for (n1j, n2j, mj), (c1, c2) in zip(counts, caps):
-                    r1 = n1j * c1 / (k1 * sigma) if n1j else 0.0
-                    r2 = n2j * c2 / (k2 * sigma) if n2j else 0.0
-                    r3 = mj * (c1 / k1 + c2 / k2) / sigma if mj else 0.0
+                for (n1j, n2j, mj), area in zip(counts, areas):
+                    r1, r2, r3 = departure_rates(area, sigma, n1j, n2j, mj, n1, n2, m)
                     rates[i] = r1
                     rates[i + 1] = r2
                     rates[i + 2] = r3

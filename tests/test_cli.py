@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import caflow.cli as cli
-from caflow import ctmc
+from caflow import ctmc, model, sim
 from caflow.cli import (
     RunSpec,
     SweepGrid,
@@ -19,7 +19,7 @@ from caflow.cli import (
 from caflow.errors import (
     ConfigError,
     ConvergenceError,
-    EmptyCarrierError,
+    DegenerateSolveError,
     StateSpaceTooLargeError,
 )
 from caflow.model import CellConfig, Policy, TrafficMix
@@ -233,7 +233,7 @@ def test_main_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
 
 def test_main_any_caflow_error_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
     def fail(*_args, **_kwargs):
-        raise EmptyCarrierError("no user on carrier 1")
+        raise DegenerateSolveError("no user on carrier 1")
 
     monkeypatch.setattr(cli, "solve_model", fail)
     cfg = write_cfg(tmp_path, MINIMAL)
@@ -645,6 +645,39 @@ def test_run_validate_detects_jfq_joining_the_slower_carrier(capsys, monkeypatch
     assert run_validate() == 3
     out = capsys.readouterr().out
     assert "[FAIL] jfq-joins-fastest" in out
+    assert out.count("[FAIL]") == 1
+
+
+def test_run_validate_detects_a_generator_dc_rate_off_the_rule(capsys, monkeypatch):
+    rule = ctmc.departure_rates
+
+    def faster_dc(*args):
+        sc1, sc2, dc = rule(*args)
+        return sc1, sc2, dc * 1.05
+
+    monkeypatch.setattr(ctmc, "departure_rates", faster_dc)
+    assert run_validate() == 3
+    out = capsys.readouterr().out
+    assert "[FAIL] engines-share-rates" in out
+    assert "in the generator" in out
+    assert out.count("[FAIL]") == 1
+
+
+def test_run_validate_detects_a_dc_rate_off_the_hand_values(capsys, monkeypatch):
+    # the rule itself scaled for every caller: the generator and the rule
+    # agree, the hand-computed states do not
+    rule = model.departure_rates
+
+    def faster_dc(*args):
+        sc1, sc2, dc = rule(*args)
+        return sc1, sc2, dc * 1.05
+
+    for module in (model, ctmc, sim, cli):
+        monkeypatch.setattr(module, "departure_rates", faster_dc)
+    assert run_validate() == 3
+    out = capsys.readouterr().out
+    assert "[FAIL] engines-share-rates" in out
+    assert "by hand" in out
     assert out.count("[FAIL]") == 1
 
 

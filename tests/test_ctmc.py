@@ -36,6 +36,7 @@ from caflow.model import (
     CellConfig,
     Policy,
     TrafficMix,
+    departure_rates,
     harmonic_capacity,
     sc_carrier1_share,
 )
@@ -221,6 +222,40 @@ def test_generator_sc_arrivals_follow_the_routing_rule(caps, two_areas, policy, 
                 to = list(counts)
                 to[3 * j + slot] += 1
                 assert gen.Q[i, space.index_of(to)] == rate
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    caps=st.sampled_from([(1, 2), (1, "1.3"), (0.1 + 0.2, 0.7), (10, 14)]),
+    n_areas=st.integers(min_value=1, max_value=3),
+    policy=st.sampled_from(list(Policy)),
+    phi=st.sampled_from([0.0, 0.4, 1.0]),
+    band=st.sampled_from([None, 2]),
+    max_total=st.integers(min_value=1, max_value=5),
+)
+def test_generator_departures_follow_the_rate_rule(caps, n_areas, policy, phi, band, max_total):
+    # every departure entry, on Python ints as the simulator evaluates the rule
+    qs = (1.0, 0.5, 0.5, 0.25, 0.25)[n_areas - 1:2 * n_areas - 1]
+    cfg = CellConfig(areas=[AreaSpec(*caps, qs[0])] + [AreaSpec(1, 3, q) for q in qs[1:]])
+    traffic = TrafficMix(0.5 * harmonic_capacity(cfg), phi, 1.5)
+    gen = build_generator(cfg, traffic, Truncation(max_total, band), policy)
+    space = gen.space
+    for i in range(len(space)):
+        counts = [int(c) for c in space.counts[i]]
+        n1, n2, m = sum(counts[0::3]), sum(counts[1::3]), sum(counts[2::3])
+        for j, area in enumerate(cfg.areas):
+            own = counts[3 * j:3 * j + 3]
+            rates = departure_rates(area, traffic.sigma, *own, n1, n2, m)
+            for slot in range(3):
+                if not own[slot]:
+                    continue
+                to = list(counts)
+                to[3 * j + slot] -= 1
+                try:
+                    k = space.index_of(to)
+                except KeyError:
+                    continue  # a departure across the band's edge is dropped
+                assert gen.Q[i, k] == rates[slot]
 
 
 # --- generator structure -------------------------------------------------------

@@ -1,13 +1,13 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from caflow.errors import (
     ConfigError,
-    EmptyCarrierError,
     InfeasibleTargetError,
     UnstableSystemError,
     UnsupportedGeometryError,
@@ -16,19 +16,16 @@ from caflow.model import (
     AreaSpec,
     CellConfig,
     Policy,
-    SystemState,
     TrafficMix,
-    dc_aggregate_rate,
     dc_only_throughput,
+    departure_rates,
     fluid_total_drift,
     harmonic_capacity,
     mixed_mean_throughput,
     offered_load,
-    per_user_rates,
     ring_area_probabilities,
     sc_carrier1_share,
     theta_approximation,
-    vb_split,
 )
 
 
@@ -43,10 +40,6 @@ def two_area(caps_center, caps_edge, q=0.5):
             AreaSpec(caps_edge[0], caps_edge[1], 1.0 - q),
         )
     )
-
-
-def state1(n1, n2, m):
-    return SystemState((n1, n2, m))
 
 
 # --- ring probabilities ----------------------------------------------------
@@ -140,48 +133,80 @@ def test_traffic_rejects_out_of_range():
         TrafficMix(lambda_total=1.0, phi=0.5, sigma=0.0)
 
 
-def test_state_validation_and_accessors():
-    s = SystemState((1, 2, 3, 4, 5, 6))
-    assert (s.n1, s.n2, s.m) == (5, 7, 9)
-    with pytest.raises(ConfigError):
-        SystemState((1, 2))
-    with pytest.raises(ConfigError):
-        SystemState((1, -1, 0))
+# --- departure rates --------------------------------------------------------
 
 
-# --- rate functions ---------------------------------------------------------
+def rates1(c1, c2, n1, n2, m, sigma=1.0):
+    # departure rates of a single-area cell, where area counts are the totals
+    return departure_rates(AreaSpec(c1, c2, 1.0), sigma, n1, n2, m, n1, n2, m)
 
 
-def test_per_user_rates_basic():
-    cfg = single(1, 1)
-    assert per_user_rates(state1(1, 0, 1), 0, cfg) == (0.5, 1.0)
+def test_departure_rates_basic():
+    # carrier 1 holds an SC and a DC flow at 1/2 each; carrier 2 the DC flow at 1
+    assert rates1(1, 1, 1, 0, 1) == (0.5, 0.0, 1.5)
 
 
-def test_per_user_rates_lone_dc_user():
-    cfg = single(1, 2)
-    assert per_user_rates(state1(0, 0, 1), 0, cfg) == (1.0, 2.0)
+def test_departure_rates_lone_flows():
+    # a lone DC flow leaves at (c1 + c2) / sigma, a lone SC flow at c_k / sigma
+    assert rates1(1, 2, 0, 0, 1, sigma=2.0) == (0.0, 0.0, 1.5)
+    assert rates1(1, 2, 1, 0, 0, sigma=2.0) == (0.5, 0.0, 0.0)
+    assert rates1(1, 2, 0, 1, 0, sigma=2.0) == (0.0, 1.0, 0.0)
 
 
-def test_per_user_rates_hand_substitution():
-    cfg = single(10, 14)
-    d1, d2 = per_user_rates(state1(2, 3, 1), 0, cfg)
-    assert d1 == pytest.approx(10.0 / 3.0)
-    assert d2 == pytest.approx(3.5)
+def test_departure_rates_hand_substitution():
+    # (n1, n2, m) = (2, 3, 1) on (10, 14): per-user rates 10/3 and 14/4
+    r1, r2, r3 = rates1(10, 14, 2, 3, 1)
+    assert r1 == pytest.approx(20.0 / 3.0)
+    assert r2 == pytest.approx(10.5)
+    assert r3 == pytest.approx(10.0 / 3.0 + 3.5)
+    # an area's counts set its rates, the cell totals its flows' shares
+    area = AreaSpec(10, 14, 0.5)
+    assert departure_rates(area, 1.0, 1, 0, 1, 2, 3, 1) == (r1 / 2, 0.0, r3)
 
 
-def test_per_user_rates_empty_carrier():
-    cfg = single(1, 1)
-    with pytest.raises(EmptyCarrierError):
-        per_user_rates(state1(0, 1, 0), 0, cfg)
+def test_departure_rates_of_empty_groups_are_zero():
+    # a group with no flow leaves at rate 0.0, also when its carrier is empty
+    assert rates1(1, 1, 0, 1, 0) == (0.0, 1.0, 0.0)
+    assert rates1(1, 1, 0, 0, 0) == (0.0, 0.0, 0.0)
 
 
-def test_dc_aggregate_rate():
-    cfg = single(1, 2)
-    assert dc_aggregate_rate(state1(0, 0, 1), 0, cfg) == 3.0
-    assert dc_aggregate_rate(state1(0, 0, 2), 0, single(1, 1)) == 1.0
-    assert dc_aggregate_rate(state1(1, 1, 1), 0, single(10, 14)) == pytest.approx(12.0)
-    with pytest.raises(EmptyCarrierError):
-        dc_aggregate_rate(state1(1, 1, 0), 0, cfg)
+def test_departure_rates_on_arrays_match_python_ints():
+    # carrier 2 is empty in some states: its zero rates must be 0.0 on arrays too
+    area = AreaSpec("1.3", "0.7", 1.0)
+    counts = [(n1, n2, m) for n1 in range(4) for n2 in range(4) for m in range(3)]
+    n1, n2, m = (np.array(c) for c in zip(*counts))
+    arrays = departure_rates(area, 1.5, n1, n2, m, n1 + 1, n2, m)
+    for k, (a, b, c) in enumerate(counts):
+        assert departure_rates(area, 1.5, a, b, c, a + 1, b, c) == tuple(r[k] for r in arrays)
+
+
+@given(
+    st.integers(min_value=0, max_value=20),
+    st.integers(min_value=0, max_value=20),
+    st.integers(min_value=1, max_value=20),
+    st.floats(min_value=0.01, max_value=100.0),
+    st.floats(min_value=0.01, max_value=100.0),
+)
+def test_departure_rates_dc_is_the_sum_of_both_carriers(n1, n2, m, c1, c2):
+    # volume balancing: a DC flow is served at c1/(n1+m) + c2/(n2+m)
+    _, _, dc = rates1(c1, c2, n1, n2, m)
+    assert dc / m == pytest.approx(c1 / (n1 + m) + c2 / (n2 + m), rel=1e-15)
+
+
+@given(
+    st.integers(min_value=0, max_value=20),
+    st.integers(min_value=0, max_value=20),
+    st.integers(min_value=0, max_value=20),
+    st.floats(min_value=0.01, max_value=100.0),
+    st.floats(min_value=0.01, max_value=100.0),
+    st.floats(min_value=0.1, max_value=10.0),
+)
+def test_departure_rates_conserve_work(n1, n2, m, c1, c2, sigma):
+    # processor sharing is work-conserving: the flows of a single-area cell
+    # drain volume at the full capacity of every busy carrier
+    drained = sigma * math.fsum(rates1(c1, c2, n1, n2, m, sigma))
+    busy = c1 * (n1 + m > 0) + c2 * (n2 + m > 0)
+    assert drained == pytest.approx(busy, rel=1e-12)
 
 
 @given(
@@ -193,66 +218,10 @@ def test_dc_aggregate_rate():
     st.floats(min_value=1.1, max_value=10.0),
 )
 def test_rate_homogeneity_under_capacity_scaling(n1, n2, m, c1, c2, lam):
-    s = state1(n1, n2, m)
-    base = per_user_rates(s, 0, single(c1, c2))
-    scaled = per_user_rates(s, 0, single(c1 * lam, c2 * lam))
-    assert scaled[0] == pytest.approx(lam * base[0], rel=1e-12)
-    assert scaled[1] == pytest.approx(lam * base[1], rel=1e-12)
-
-
-# --- volume balancing --------------------------------------------------------
-
-
-def test_vb_split_values():
-    cfg = single(1, 2)
-    s1, s2 = vb_split(state1(0, 0, 1), 0, cfg, 0.1)
-    assert s1 == pytest.approx(0.1)
-    assert s2 == pytest.approx(0.2)
-
-
-def test_vb_split_rejects_bad_args():
-    cfg = single(1, 1)
-    with pytest.raises(EmptyCarrierError):
-        vb_split(state1(1, 1, 0), 0, cfg, 0.1)
-    with pytest.raises(ConfigError):
-        vb_split(state1(0, 0, 1), 0, cfg, 0.0)
-
-
-@given(
-    st.integers(min_value=0, max_value=10),
-    st.integers(min_value=0, max_value=10),
-    st.integers(min_value=1, max_value=10),
-    st.floats(min_value=0.01, max_value=50.0),
-    st.floats(min_value=0.01, max_value=50.0),
-    st.floats(min_value=1e-4, max_value=10.0),
-)
-def test_vb_split_conserves_aggregate_volume(n1, n2, m, c1, c2, dt):
-    s = state1(n1, n2, m)
-    cfg = single(c1, c2)
-    s1, s2 = vb_split(s, 0, cfg, dt)
-    assert abs((s1 + s2) - dc_aggregate_rate(s, 0, cfg) * dt) <= 1e-12 * max(1.0, s1 + s2)
-
-
-@given(
-    st.integers(min_value=0, max_value=10),
-    st.integers(min_value=0, max_value=10),
-    st.integers(min_value=1, max_value=10),
-    st.floats(min_value=0.01, max_value=50.0),
-    st.floats(min_value=0.01, max_value=50.0),
-    st.floats(min_value=1e-4, max_value=10.0),
-)
-def test_vb_split_completes_both_carriers_together(n1, n2, m, c1, c2, dt):
-    # residual volumes produced by the split drain in equal times
-    s = state1(n1, n2, m)
-    cfg = single(c1, c2)
-    d1, d2 = per_user_rates(s, 0, cfg)
-    s1, s2 = vb_split(s, 0, cfg, dt)
-    assert abs(s1 / d1 - s2 / d2) <= 1e-12 * max(1.0, dt)
-
-
-def test_vb_equal_completion_times_example():
-    # residual volumes (1, 2) at rates (1, 2): both finish after 1 s
-    assert 1.0 / 1.0 == 2.0 / 2.0 == 1.0
+    base = rates1(c1, c2, n1, n2, m)
+    scaled = rates1(c1 * lam, c2 * lam, n1, n2, m)
+    for b, s in zip(base, scaled):
+        assert s == pytest.approx(lam * b, rel=1e-12)
 
 
 # --- capacity, load, stability ----------------------------------------------

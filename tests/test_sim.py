@@ -325,6 +325,24 @@ def test_event_frequencies_match_generator_rates():
     assert result.pvalue > 1e-3
 
 
+def test_simulator_reads_the_shared_departure_rates(monkeypatch):
+    # a DC rate scaled at the simulator's reference to the rate rule changes
+    # the path: the event loop keeps no rate arithmetic of its own
+    cfg = single(1, 2)
+    traffic = TrafficMix(1.5, 0.5, 1.0)
+    base = simulate(cfg, traffic, Policy.JFQ, Stop(completions=2000), seed=5)
+    rule = sim.departure_rates
+
+    def faster_dc(*args):
+        sc1, sc2, dc = rule(*args)
+        return sc1, sc2, dc * 1.05
+
+    monkeypatch.setattr(sim, "departure_rates", faster_dc)
+    changed = simulate(cfg, traffic, Policy.JFQ, Stop(completions=2000), seed=5)
+    assert changed.sim_time != base.sim_time
+    assert changed != base
+
+
 def test_sim_confidence_intervals_cover_ctmc_value():
     # light version of the cross-validation gate: 6 replications, expect most
     # intervals to contain the exact value
