@@ -285,6 +285,11 @@ class _LookAhead:
     def __init__(self, evaluator):
         import multiprocessing
 
+        # the helpers fork from this process, and a simulator probe's
+        # half-width runs scipy.special: import it once here, before the
+        # first helper starts, not once in each helper
+        import scipy.special  # noqa: F401
+
         self._ctx = multiprocessing.get_context("fork")
         self._evaluator = evaluator
         self._helpers = {}  # (theta, probe id) -> (process, receiving end)

@@ -27,17 +27,15 @@ import math
 import os
 import re
 import sys
-import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse.linalg import spsolve
 
 from . import capacity as capacity_mod
+from . import ctmc as ctmc_mod
 from .capacity import EXACT_MAX_STATES
 from .ctmc import (
     DEFAULT_STATE_BUDGET,
@@ -488,6 +486,12 @@ def run_sweep(
         (spec.cfg, spec.traffic.sigma, spec.policy, rho, phi) for rho, phi in grid.points()
     ]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        # the workers fork from this process: import the solver's scipy
+        # modules once here, not once in each worker
+        from scipy.sparse import csgraph, linalg  # noqa: F401
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_worker, payloads))
     else:
@@ -716,6 +720,8 @@ def _check_stationary_solution():
         raise CheckFailed(f"pi sums to {dist.pi.sum()!r}")
     # the same reduced system (pi_0 = 1, the empty state's equation dropped),
     # solved by sparse LU instead of the preconditioned iteration
+    from scipy.sparse.linalg import spsolve
+
     qt = gen.Q.T.tocsc()
     direct = np.concatenate(([1.0], spsolve(qt[1:, 1:], -qt[1:, 0].toarray().ravel())))
     deviation = float(np.abs(dist.pi - direct / direct.sum()).max())
@@ -804,7 +810,9 @@ def _check_band_truncation():
 
 def _check_blas_thread_independence():
     # the band-truncation point solved with the process at two BLAS threads
-    # and at one: solves run on one thread, so the answers are the same bytes
+    # and at one: solves run on one thread, so the answers are the same bytes.
+    # The scope must then hold every build mapped into the process: one that
+    # it missed, found on its first entry, would keep the caller's count
     if not _openblas_builds():
         return "no OpenBLAS build loaded"
     cfg = CellConfig.single_area(1, 2)
@@ -816,7 +824,13 @@ def _check_blas_thread_independence():
         answers.append(dist.pi.tobytes() + repr(report).encode())
     if answers[0] != answers[1]:
         raise CheckFailed("two and one BLAS threads gave different answers")
-    return f"{len(dist.pi)} states, identical answers at two and one BLAS threads"
+    scoped, mapped = len(_openblas_builds()), len(ctmc_mod._openblas_builds.__wrapped__())
+    if scoped < mapped:
+        raise CheckFailed(f"the one-thread scope holds {scoped} of {mapped} mapped OpenBLAS builds")
+    return (
+        f"{len(dist.pi)} states, identical answers at two and one BLAS threads, "
+        f"{scoped} OpenBLAS builds in the scope"
+    )
 
 
 def _check_engines_share_rates():
@@ -870,6 +884,8 @@ def _check_csv_determinism():
         "areas.1.c1 = 1\nareas.1.c2 = 2\nareas.1.q = 1\n"
         "traffic.lambda = 1.5\ntraffic.phi = 0.5\ntraffic.sigma = 1\nseed = 3\n"
     )
+    import tempfile
+
     outputs = []
     with tempfile.TemporaryDirectory() as tmp:
         for sub in ("a", "b"):

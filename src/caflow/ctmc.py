@@ -48,8 +48,15 @@ dense blocks, the expectations over pi) are too short for more threads to
 shorten them, and an OpenBLAS reduction sums in an order set by its thread
 count, so one thread makes every answer a function of its inputs alone,
 whatever the machine's core count. The builds are found on first use, from
-the libraries mapped into the process; where there is no OpenBLAS (MKL,
-reference BLAS, or no ``/proc/self/maps``) the scope does nothing.
+the libraries mapped into the process, after importing scipy's sparse linear
+algebra, whose BLAS build would otherwise map only once the first solve
+runs; where there is no OpenBLAS (MKL, reference BLAS, or no
+``/proc/self/maps``) the scope does nothing.
+
+scipy is imported by the functions that run it, never at module level, so a
+caller that builds no generator (the simulator, the capacity search on the
+simulator or the approximation, ``caflow --help``) never loads
+``scipy.sparse``.
 """
 
 from __future__ import annotations
@@ -61,11 +68,9 @@ import math
 import os
 import threading
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import (
     ConfigError,
@@ -85,6 +90,21 @@ from .model import (
     sc_balance,
     sc_carrier1_share,
 )
+
+
+class _ScipySparse:
+    # stands in for scipy.sparse in the annotations, so that
+    # typing.get_type_hints resolves them, importing scipy.sparse only then
+    def __getattr__(self, name):
+        import scipy.sparse
+
+        return getattr(scipy.sparse, name)
+
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+else:
+    sp = _ScipySparse()
 
 #: default cap on enumerated states before a solve refuses to proceed
 DEFAULT_STATE_BUDGET = 1_200_000
@@ -136,7 +156,11 @@ _OPENBLAS_THREAD_SYMBOLS = (
 def _openblas_builds() -> tuple:
     # the (get, set) thread-count functions of each OpenBLAS build mapped
     # into this process, read once from /proc/self/maps; none where that
-    # file does not exist or no mapped library exports them
+    # file does not exist or no mapped library exports them. The solves
+    # import scipy's sparse linear algebra after the scope is entered, so it
+    # is imported here first, or its BLAS build would be missed for good
+    import scipy.sparse.linalg  # noqa: F401
+
     try:
         with open("/proc/self/maps") as maps:
             paths = dict.fromkeys(
@@ -499,7 +523,9 @@ def build_generator(
     rows = np.concatenate([rows, idx])
     cols = np.concatenate([cols, idx])
     data = np.concatenate([data, -outflow])
-    q_mat = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+    from scipy.sparse import coo_matrix
+
+    q_mat = coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
     return Generator(
         Q=q_mat, unif=float(outflow.max(initial=0.0)), space=space, cfg=cfg, traffic=traffic,
         dropped=dropped,
@@ -554,6 +580,8 @@ def _reduced_system(qt):
     # Q^T[1:, 1:] y = -Q^T[1:, 0] (Stewart 1994, ch. 2 and 5); each column of
     # that system is diagonally dominant, so its factors may skip pivoting.
     # Both parts are cut from qt's CSC arrays, entries in their given order.
+    from scipy.sparse import csc_matrix
+
     n, ptr, rows, vals = qt.shape[0], qt.indptr, qt.indices, qt.data
     c0 = ptr[1]  # column 0 ends here
     # column 0 below row 0, negated once filled, so that its empty entries
@@ -564,13 +592,16 @@ def _reduced_system(qt):
     # columns 1.. without their row-0 entries
     kept = rows[c0:] > 0
     indptr = np.concatenate(([0], np.cumsum(kept)))[ptr[1:] - c0]
-    a = sp.csc_matrix((vals[c0:][kept], rows[c0:][kept] - 1, indptr), shape=(n - 1, n - 1))
+    a = csc_matrix((vals[c0:][kept], rows[c0:][kept] - 1, indptr), shape=(n - 1, n - 1))
     return a, -col
 
 
 def _solve_reduced(qt, unif, options, exact):
     # the vector with pi_0 = 1 that solves the reduced system: by its exact
-    # LU factor alone, or by GMRES preconditioned with its incomplete factor
+    # LU factor alone, or by GMRES preconditioned with its incomplete factor;
+    # splu, spilu and gmres are looked up on their module at each call
+    import scipy.sparse.linalg as spla
+
     a, b = _reduced_system(qt)
     factor, name = (spla.splu, "sparse LU") if exact else (spla.spilu, "ILU preconditioner")
     try:
@@ -901,8 +932,8 @@ def _truncated_generator(
     gen = build_generator(cfg, traffic, space, policy)
     if space.truncation.band is None:
         return gen
-    # imported here: callers that never cut a band (the simulator's capacity
-    # queries) skip its import time and memory
+    # imported here, like every scipy module: callers that never run it skip
+    # its import time and memory
     from scipy.sparse import csgraph
 
     _, label = csgraph.connected_components(gen.Q, directed=True, connection="strong")

@@ -50,7 +50,6 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .errors import ConfigError
 from .model import CellConfig, Policy, TrafficMix, departure_rates, sc_carrier1_share
@@ -542,7 +541,10 @@ def _cuts(rates: list[float]) -> list[float]:
 
 def _ratio_batch_half_width(volumes: np.ndarray, sojourns: np.ndarray, n_batches: int) -> float:
     # the ratio estimator over each of n_batches equal batches (in completion
-    # order, remainder discarded); Student-t half-width of their mean
+    # order, remainder discarded); Student-t half-width of their mean. scipy
+    # is imported here, where it runs, as everywhere in the package
+    from scipy.special import stdtrit
+
     size = len(volumes) // n_batches
     used_v = volumes[: size * n_batches].reshape(n_batches, size)
     used_s = sojourns[: size * n_batches].reshape(n_batches, size)

@@ -593,6 +593,15 @@ def test_blas_check_passes_where_there_is_no_openblas(monkeypatch):
     assert cli._check_blas_thread_independence() == "no OpenBLAS build loaded"
 
 
+def test_blas_check_fails_where_the_scope_missed_a_build(monkeypatch):
+    builds = ctmc._openblas_builds()
+    if len(ctmc._openblas_builds.__wrapped__()) < 2:
+        pytest.skip("fewer than two OpenBLAS builds mapped")
+    monkeypatch.setattr(cli, "_openblas_builds", lambda: builds[:1])
+    with pytest.raises(cli.CheckFailed, match="1 of 2 mapped OpenBLAS builds"):
+        cli._check_blas_thread_independence()
+
+
 def test_run_validate_detects_corrupted_generator(capsys, monkeypatch):
     from dataclasses import replace
 
