@@ -92,19 +92,8 @@ from .model import (
 )
 
 
-class _ScipySparse:
-    # stands in for scipy.sparse in the annotations, so that
-    # typing.get_type_hints resolves them, importing scipy.sparse only then
-    def __getattr__(self, name):
-        import scipy.sparse
-
-        return getattr(scipy.sparse, name)
-
-
 if TYPE_CHECKING:
     import scipy.sparse as sp
-else:
-    sp = _ScipySparse()
 
 #: default cap on enumerated states before a solve refuses to proceed
 DEFAULT_STATE_BUDGET = 1_200_000

@@ -582,3 +582,18 @@ def test_result_carries_the_resolved_query():
     result = solve_preset("dc-hsdpa", 1.0)
     assert result.query.evaluator == "ctmc"
     assert (result.query.cfg, result.query.target_gamma) == (cfg, target)
+
+
+def test_presets_and_their_references_come_from_the_table():
+    names = sorted(capacity.PRESETS)
+    for name in names:
+        center, edge, target, thetas = capacity.PRESETS[name]
+        cfg, preset_target = scenario_presets(name)
+        assert preset_target == target
+        assert [(a.c1, a.c2) for a in cfg.areas] == [
+            (float(c1), float(c2)) for c1, c2 in (center, edge)
+        ]
+        assert [reference_theta(name, phi) for phi in PRESET_PHI_GRID] == list(thetas)
+        assert reference_theta(name, 0.3) is None
+    with pytest.raises(ConfigError, match=f"valid names: {', '.join(names)}$"):
+        scenario_presets("umts")

@@ -701,3 +701,29 @@ def test_run_validate_reports_skips(capsys, monkeypatch):
     assert "[FAIL] generator-row-sums" in out
     assert "[FAIL] stationary-solution" in out
     assert rc == 3
+
+
+@pytest.mark.parametrize("figure", ["fig2", "fig4"])
+def test_single_class_figures_never_fall_back_to_the_simulator(tmp_path, monkeypatch, figure):
+    # every fig2 and fig4 point is exact under the auto rule and reliable
+    # within EXACT_MAX_STATES, which keeps their `# evaluator=ctmc` header true
+    monkeypatch.setattr(cli, "simulate", lambda *a, **k: pytest.fail("a point fell back"))
+    text = run_reproduce(figure, tmp_path).read_text(encoding="utf-8")
+    assert "# evaluator=ctmc\n" in text
+
+
+def test_preset_names_come_from_the_preset_table_alone(tmp_path, monkeypatch):
+    names = sorted(cli.capacity_mod.PRESETS)
+    subparsers = next(a for a in cli._build_parser()._actions if a.dest == "command").choices
+    assert subparsers["capacity"]._option_string_actions["--scenario"].choices == names
+    # table1 on the closed form, which needs no search
+    solve_preset = cli.capacity_mod.solve_preset
+    monkeypatch.setattr(
+        cli.capacity_mod, "solve_preset",
+        lambda name, phi, seed: solve_preset(name, phi, "approx", seed=seed),
+    )
+    lines = run_reproduce("table1", tmp_path).read_text(encoding="utf-8").splitlines()
+    config = next(line for line in lines if line.startswith("# config="))
+    assert [part.split(":")[0] for part in config[len("# config="):].split("; ")] == names
+    rows = [line.split(",") for line in lines if not line.startswith("#")][1:]
+    assert list(dict.fromkeys(row[0] for row in rows)) == names
