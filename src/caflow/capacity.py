@@ -104,8 +104,9 @@ class CapacityQuery:
     completions along it until the interval does.
     The ``approx`` closed form routes SC flows to the fastest carrier, so
     with SC traffic (``phi > 0``) it accepts only ``Policy.JFQ``.
-    ``evaluator="auto"`` resolves once, to :func:`auto_evaluator` at the first
-    probe's load theta = ``RHO_CEILING`` * c_bar / 2, and the query keeps it.
+    ``evaluator="auto"`` resolves once, to :func:`auto_evaluator` at the
+    bracket's first midpoint theta = ``RHO_CEILING`` * c_bar / 2, and the
+    query keeps it; an exact search may aim its first probe elsewhere.
     """
 
     cfg: CellConfig

@@ -57,6 +57,7 @@ from .errors import (
 from .model import (
     AreaSpec,
     CellConfig,
+    PROB_TOL,
     Policy,
     TrafficMix,
     departure_rates,
@@ -136,6 +137,24 @@ def _number(lo=None, hi=None, positive=False):
     return parse
 
 
+def _number_list(value):
+    try:
+        return tuple(float(x) for x in value.split(","))
+    except ValueError:
+        raise ValueError(f"not a comma-separated number list: {value!r}") from None
+
+
+def _ring_probabilities(n_areas):
+    # ring geometry is only another way to state the area probabilities
+    def parse(value):
+        radii = _number_list(value)
+        if len(radii) != n_areas:
+            raise ValueError("need exactly one ring radius per area")
+        return ring_area_probabilities(radii)
+
+    return parse
+
+
 def _policy(value):
     try:
         return Policy(value.lower())
@@ -158,6 +177,7 @@ def _integer(lo, what):
 
 _REQUIRED = object()
 _probability = _number(lo=0.0, hi=1.0)
+_non_negative = _integer(0, "non-negative")
 
 #: scalar keys in the order their problems are reported: (parser, default)
 _SCALARS = {
@@ -165,7 +185,7 @@ _SCALARS = {
     "traffic.phi": (_probability, _REQUIRED),
     "traffic.sigma": (_number(positive=True), _REQUIRED),
     "policy": (_policy, Policy.JFQ),
-    "seed": (_integer(0, "non-negative"), 0),
+    "seed": (_non_negative, 0),
 }
 
 
@@ -205,13 +225,6 @@ def parse_config_text(text: str, source: str = "<config>") -> RunSpec:
             idx, name = slot
             area_items.setdefault(idx, {})[name] = entries.pop(slot)
     radii_item = entries.pop("geometry.radii", None)
-    radii = None
-    if radii_item is not None:
-        lineno, value = radii_item
-        try:
-            radii = tuple(float(part) for part in value.split(","))
-        except ValueError:
-            problems.append((lineno, f"geometry.radii: not a comma-separated number list: {value!r}"))
 
     areas = []
     if not area_items:
@@ -220,11 +233,8 @@ def parse_config_text(text: str, source: str = "<config>") -> RunSpec:
         if sorted(area_items) != list(range(1, len(area_items) + 1)):
             problems.append((None, f"area indices must be 1..{len(area_items)} without gaps"))
         ring_qs = None
-        if radii is not None and len(radii) == len(area_items):
-            try:
-                ring_qs = ring_area_probabilities(radii)
-            except ConfigError as exc:
-                problems.append((radii_item[0], f"geometry.radii: {exc}"))
+        if radii_item is not None:
+            ring_qs = parse("geometry.radii", radii_item, _ring_probabilities(len(area_items)))
         for idx in sorted(area_items):
             spec = area_items[idx]
             missing = {"c1", "c2"} - set(spec)
@@ -232,11 +242,16 @@ def parse_config_text(text: str, source: str = "<config>") -> RunSpec:
                 problems.append((None, f"area {idx}: missing {sorted(missing)}"))
                 continue
             q_item = spec.get("q")
-            if q_item is None and ring_qs is None:
+            ring_q = ring_qs[idx - 1] if ring_qs else None
+            if q_item is None and ring_q is None:
                 problems.append((None, f"area {idx}: needs q (or a full geometry.radii list)"))
                 continue
-            q = parse(f"areas.{idx}.q", q_item, _probability) if q_item else ring_qs[idx - 1]
+            q = parse(f"areas.{idx}.q", q_item, _probability) if q_item else ring_q
             if q is None:
+                continue
+            if ring_q is not None and abs(q - ring_q) > PROB_TOL:
+                problems.append((q_item[0], f"area {idx}: stored q={q!r} disagrees with "
+                                            f"ring geometry q={ring_q!r}"))
                 continue
             try:
                 areas.append(AreaSpec(spec["c1"][1], spec["c2"][1], q))
@@ -256,7 +271,7 @@ def parse_config_text(text: str, source: str = "<config>") -> RunSpec:
     cfg = None
     if areas and not problems:
         try:
-            cfg = CellConfig(areas=tuple(areas), radii=radii)
+            cfg = CellConfig(areas=tuple(areas))
         except ConfigError as exc:
             problems.append((None, str(exc)))
 
@@ -284,6 +299,10 @@ def parse_config(path: str | Path) -> RunSpec:
     return parse_config_text(text, source=str(path))
 
 
+# ---------------------------------------------------------------------------
+# CSV emission
+
+
 def _format_exact(value: Fraction) -> str:
     """Exact text form: integer, terminating decimal, or p/q."""
     if value.denominator == 1:
@@ -302,27 +321,6 @@ def _format_exact(value: Fraction) -> str:
         text = f"{scaled:0{digits + 1}d}"
         return f"{text[:-digits]}.{text[-digits:]}" if digits else text
     return f"{value.numerator}/{value.denominator}"
-
-
-def emit_config(spec: RunSpec) -> str:
-    """Text form of a run spec; parses back to an equal spec."""
-    lines = []
-    for idx, area in enumerate(spec.cfg.areas, start=1):
-        lines.append(f"areas.{idx}.c1 = {_format_exact(area.c1_exact)}")
-        lines.append(f"areas.{idx}.c2 = {_format_exact(area.c2_exact)}")
-        lines.append(f"areas.{idx}.q = {area.q!r}")
-    if spec.cfg.radii is not None:
-        lines.append("geometry.radii = " + ", ".join(repr(r) for r in spec.cfg.radii))
-    lines.append(f"traffic.lambda = {spec.traffic.lambda_total!r}")
-    lines.append(f"traffic.phi = {spec.traffic.phi!r}")
-    lines.append(f"traffic.sigma = {spec.traffic.sigma!r}")
-    lines.append(f"policy = {spec.policy.value}")
-    lines.append(f"seed = {spec.seed}")
-    return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# CSV emission
 
 
 def _cell(value) -> str:
@@ -595,18 +593,18 @@ def _gamma_point(cfg, phi, rho, policy, seed, stream):
 _REPRO_TRUNCATION = f"auto(budget={EXACT_MAX_STATES} states)"
 
 
-def _repro_fig2(seed):
-    cfg = CellConfig.single_area(1, 1)
+def _repro_sc_curves(figure, cfg, policies, columns, policy_label, note, seed):
+    """SC-only throughput of each policy at every load, then the reference
+    c_max (1 - rho) of one PS server of the larger capacity."""
+    c_max = cfg.areas[0].c_max
     rows = []
     for stream, rho in enumerate(FIG_RHO_GRID):
-        gamma_sc = _gamma_point(cfg, 1.0, rho, Policy.JFQ, seed, stream)[0]
-        rows.append([rho, gamma_sc, 1.0 - rho])
+        gammas = [_gamma_point(cfg, 1.0, rho, policy, seed, stream)[0] for policy in policies]
+        rows.append([rho, *gammas, c_max * (1.0 - rho)])
     meta = _meta(
-        "fig2", _config_summary(cfg), "jsq", "ctmc", _REPRO_TRUNCATION, seed,
-        ("note", "shortest-queue curve computed as the equal-capacity fastest-queue "
-                 "solve (identical generators); reference is one PS server of rate 1"),
+        figure, _config_summary(cfg), policy_label, "ctmc", _REPRO_TRUNCATION, seed, ("note", note)
     )
-    return meta, ["rho", "gamma_sc_jsq", "gamma_ps_ref"], rows
+    return meta, ["rho", *columns], rows
 
 
 def _repro_mixed(figure, cfg, points, seed, load_column="rho"):
@@ -619,22 +617,6 @@ def _repro_mixed(figure, cfg, points, seed, load_column="rho"):
         figure, _config_summary(cfg), "jfq", "ctmc+sim-fallback", _REPRO_TRUNCATION, seed
     )
     return meta, [load_column, "phi", "gamma_sc", "gamma_dc", "gamma_bar", "evaluator"], rows
-
-
-def _repro_fig4(seed):
-    cfg = CellConfig.single_area(1, 2)
-    rows = []
-    for stream, rho in enumerate(FIG_RHO_GRID):
-        jfq, jsq = (
-            _gamma_point(cfg, 1.0, rho, policy, seed, stream)[0]
-            for policy in (Policy.JFQ, Policy.JSQ)
-        )
-        rows.append([rho, jfq, jsq, 2.0 * (1.0 - rho)])
-    meta = _meta(
-        "fig4", _config_summary(cfg), "jfq,jsq", "ctmc", _REPRO_TRUNCATION, seed,
-        ("note", "reference is one PS server of the larger capacity"),
-    )
-    return meta, ["rho", "gamma_sc_jfq", "gamma_sc_jsq", "gamma_ps_c2_ref"], rows
 
 
 def _repro_table1(seed):
@@ -657,12 +639,20 @@ def _repro_table1(seed):
 
 # the mixed-figure grids are read when a figure is built, not at import
 _REPRO_BUILDERS = {
-    "fig2": _repro_fig2,
+    "fig2": lambda seed: _repro_sc_curves(
+        "fig2", CellConfig.single_area(1, 1), (Policy.JFQ,), ["gamma_sc_jsq", "gamma_ps_ref"],
+        "jsq", "shortest-queue curve computed as the equal-capacity fastest-queue solve "
+               "(identical generators); reference is one PS server of rate 1", seed,
+    ),
     "fig3": lambda seed: _repro_mixed(
         "fig3", CellConfig.single_area(1, 1),
         [(rho, phi) for phi in FIG3_PHIS for rho in FIG_RHO_GRID], seed,
     ),
-    "fig4": _repro_fig4,
+    "fig4": lambda seed: _repro_sc_curves(
+        "fig4", CellConfig.single_area(1, 2), (Policy.JFQ, Policy.JSQ),
+        ["gamma_sc_jfq", "gamma_sc_jsq", "gamma_ps_c2_ref"], "jfq,jsq",
+        "reference is one PS server of the larger capacity", seed,
+    ),
     "fig5": lambda seed: _repro_mixed(
         "fig5", CellConfig.single_area(1, "1.3"),
         [(rho, phi) for phi in FIG5_PHIS for rho in FIG_RHO_GRID], seed,
@@ -896,10 +886,7 @@ def _check_csv_determinism():
             outputs.append(path.read_bytes())
     if outputs[0] != outputs[1]:
         raise CheckFailed("two identical solve runs produced different bytes")
-    round_trip = parse_config_text(emit_config(spec))
-    if round_trip != spec:
-        raise CheckFailed("config round-trip changed the parsed settings")
-    return f"byte-identical output ({len(outputs[0])} bytes), config round-trip exact"
+    return f"byte-identical output ({len(outputs[0])} bytes)"
 
 
 VALIDATION_CHECKS = [
@@ -992,19 +979,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _non_negative_flag(flag: str, value: int) -> int:
-    # the config's rule for ``seed``, applied to a command-line flag
+def _flag(flag: str, parser, value):
+    # a config-value parser applied to a command-line flag
     try:
-        return _integer(0, "non-negative")(value)
+        return parser(value)
     except ValueError as exc:
         raise ConfigError(f"{flag}: {exc}") from None
-
-
-def _number_list(flag: str, text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(x) for x in text.split(","))
-    except ValueError:
-        raise ConfigError(f"{flag}: not a comma-separated number list: {text!r}") from None
 
 
 def main(argv=None) -> int:
@@ -1014,7 +994,7 @@ def main(argv=None) -> int:
         if args.command == "validate":
             return run_validate()
         if args.seed is not None:
-            _non_negative_flag("--seed", args.seed)
+            _flag("--seed", _non_negative, args.seed)
 
         if args.command == "capacity":
             spec = parse_config(args.config) if args.config else None
@@ -1048,11 +1028,11 @@ def main(argv=None) -> int:
             path = run_simulate(
                 spec, out_dir,
                 completions=args.completions, horizon=args.horizon,
-                trace_limit=_non_negative_flag("--trace-limit", args.trace_limit),
+                trace_limit=_flag("--trace-limit", _non_negative, args.trace_limit),
             )
         else:
-            rhos = _number_list("--rhos", args.rhos)
-            phis = _number_list("--phis", args.phis) if args.phis else (spec.traffic.phi,)
+            rhos = _flag("--rhos", _number_list, args.rhos)
+            phis = _flag("--phis", _number_list, args.phis) if args.phis else (spec.traffic.phi,)
             path = run_sweep(spec, SweepGrid(rhos=rhos, phis=phis), out_dir)
         print(path)
         return 0

@@ -77,6 +77,20 @@ class Policy(str, enum.Enum):
     BERNOULLI = "bernoulli"  # state-blind, probability proportional to capacity
 
 
+def _float_rate(exact: Fraction, given: CapacityLike) -> float:
+    """Float of an exact peak rate; one that is not positive, or whose float
+    overflows or rounds to 0, is refused."""
+    try:
+        rate = float(exact)
+    except OverflowError:
+        rate = math.inf
+    if not 0.0 < rate < math.inf:
+        raise ConfigError(
+            f"carrier peak rates must be strictly positive and finite as floats, got {given!r}"
+        )
+    return rate
+
+
 @dataclass(frozen=True)
 class AreaSpec:
     """Peak rates and population weight of one area.
@@ -96,13 +110,12 @@ class AreaSpec:
     def __post_init__(self):
         e1 = exact_ratio(self.c1)
         e2 = exact_ratio(self.c2)
-        if e1 <= 0 or e2 <= 0:
-            raise ConfigError("carrier peak rates must be strictly positive")
+        c1, c2 = _float_rate(e1, self.c1), _float_rate(e2, self.c2)
         q = float(self.q)
         if not (0.0 <= q <= 1.0) or not math.isfinite(q):
             raise ConfigError(f"area probability must lie in [0, 1], got {q!r}")
-        object.__setattr__(self, "c1", float(e1))
-        object.__setattr__(self, "c2", float(e2))
+        object.__setattr__(self, "c1", c1)
+        object.__setattr__(self, "c2", c2)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "c1_exact", e1)
         object.__setattr__(self, "c2_exact", e2)
@@ -132,6 +145,8 @@ def ring_area_probabilities(radii: Sequence[float]) -> list[float]:
     radii = [float(r) for r in radii]
     if not radii:
         raise ConfigError("at least one ring radius is required")
+    if not all(map(math.isfinite, radii)):
+        raise ConfigError(f"ring radii must be finite, got {radii}")
     if radii[0] <= 0 or any(b <= a for a, b in zip(radii, radii[1:])):
         raise ConfigError(f"ring radii must be positive and strictly increasing, got {radii}")
     big_r_sq = radii[-1] ** 2
@@ -145,14 +160,14 @@ def ring_area_probabilities(radii: Sequence[float]) -> list[float]:
 
 @dataclass(frozen=True)
 class CellConfig:
-    """Per-area carrier peak rates and area probabilities, plus optional geometry.
+    """Per-area carrier peak rates and area probabilities q_j.
 
-    When ``radii`` is given it must reproduce the stored probabilities through
-    :func:`ring_area_probabilities` (it exists only to document the geometry).
+    The probabilities are all the model needs of the cell's geometry; a
+    config file may state them as ring geometry instead, which the parser
+    turns into q_j with :func:`ring_area_probabilities`.
     """
 
     areas: tuple[AreaSpec, ...]
-    radii: tuple[float, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "areas", tuple(self.areas))
@@ -161,17 +176,6 @@ class CellConfig:
         total_q = math.fsum(a.q for a in self.areas)
         if abs(total_q - 1.0) > PROB_TOL:
             raise ConfigError(f"area probabilities must sum to 1, got {total_q!r}")
-        if self.radii is not None:
-            radii = tuple(float(r) for r in self.radii)
-            object.__setattr__(self, "radii", radii)
-            if len(radii) != len(self.areas):
-                raise ConfigError("need exactly one ring radius per area")
-            ring_qs = ring_area_probabilities(radii)
-            for j, (a, q_ring) in enumerate(zip(self.areas, ring_qs)):
-                if abs(a.q - q_ring) > PROB_TOL:
-                    raise ConfigError(
-                        f"area {j + 1}: stored q={a.q!r} disagrees with ring geometry q={q_ring!r}"
-                    )
 
     @classmethod
     def single_area(cls, c1: CapacityLike, c2: CapacityLike) -> "CellConfig":
@@ -232,8 +236,10 @@ class TrafficMix:
     lambda_total: float
     phi: float
     sigma: float
-    _alpha: float = field(init=False, repr=False, compare=False)
-    _beta: float = field(init=False, repr=False, compare=False)
+    #: SC arrival rate
+    alpha: float = field(init=False, repr=False, compare=False)
+    #: DC arrival rate; the exact complement of alpha
+    beta: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.lambda_total < 0 or not math.isfinite(self.lambda_total):
@@ -243,18 +249,8 @@ class TrafficMix:
         if self.sigma <= 0 or not math.isfinite(self.sigma):
             raise ConfigError(f"mean flow volume must be > 0, got {self.sigma!r}")
         alpha, beta = _exact_split(self.lambda_total, self.phi)
-        object.__setattr__(self, "_alpha", alpha)
-        object.__setattr__(self, "_beta", beta)
-
-    @property
-    def alpha(self) -> float:
-        """SC arrival rate."""
-        return self._alpha
-
-    @property
-    def beta(self) -> float:
-        """DC arrival rate; the exact complement of alpha."""
-        return self._beta
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
 
     def area_rates(self, cfg: CellConfig, j: int) -> tuple[float, float]:
         """(SC, DC) arrival rates inside area j."""

@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 import caflow.cli as cli
 from caflow import ctmc, model, sim
 from caflow.cli import (
-    RunSpec,
     SweepGrid,
-    emit_config,
     main,
     parse_config_text,
     run_reproduce,
@@ -22,7 +20,7 @@ from caflow.errors import (
     DegenerateSolveError,
     StateSpaceTooLargeError,
 )
-from caflow.model import CellConfig, Policy, TrafficMix
+from caflow.model import CellConfig, Policy, TrafficMix, exact_ratio
 
 
 MINIMAL = (
@@ -72,7 +70,47 @@ def test_parse_radii_derive_q():
     )
     spec = parse_config_text(text)
     assert spec.cfg.areas[0].q == 0.25
-    assert spec.cfg.radii == (300.0, 600.0)
+
+
+TWO_RINGS = (
+    "areas.1.c1 = 10\nareas.1.c2 = 10\nareas.1.q = {q1}\n"
+    "areas.2.c1 = 1\nareas.2.c2 = 1\nareas.2.q = {q2}\n"
+    "geometry.radii = {radii}\n"
+    "traffic.lambda = 1\ntraffic.phi = 0\ntraffic.sigma = 1\n"
+)
+
+
+def test_config_radii_must_match_q():
+    # the ring split of 300, 600 is 0.25/0.75
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(TWO_RINGS.format(q1=0.5, q2=0.5, radii="300, 600"))
+    assert err.value.diagnostics == [
+        (3, "area 1: stored q=0.5 disagrees with ring geometry q=0.25"),
+        (6, "area 2: stored q=0.5 disagrees with ring geometry q=0.75"),
+    ]
+    spec = parse_config_text(TWO_RINGS.format(q1=0.25, q2=0.75, radii="300, 600"))
+    assert [a.q for a in spec.cfg.areas] == [0.25, 0.75]
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(TWO_RINGS.format(q1=0.25, q2=0.75, radii="300, 600, 900"))
+    assert err.value.diagnostics == [(7, "geometry.radii: need exactly one ring radius per area")]
+
+
+@pytest.mark.parametrize(
+    "old, new, lineno, needle",
+    [
+        ("areas.1.c1 = 10", "areas.1.c1 = 1e400", 1, "'1e400'"),
+        ("areas.1.c1 = 10", "areas.1.c1 = 1e-400", 1, "'1e-400'"),
+        ("300, 600", "300, nan", 7, "ring radii must be finite"),
+        ("300, 600", "300, inf", 7, "ring radii must be finite"),
+        ("300, 600", "300, x", 7, "not a comma-separated number list"),
+    ],
+)
+def test_parse_names_the_line_of_a_bad_capacity_or_ring(old, new, lineno, needle):
+    text = TWO_RINGS.format(q1=0.25, q2=0.75, radii="300, 600").replace(old, new)
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(text)
+    [(line, message)] = err.value.diagnostics
+    assert line == lineno and needle in message
 
 
 def test_parse_rejects_bad_q_sum():
@@ -155,21 +193,9 @@ def test_parse_scalar_key_diagnostics(old, new, expected):
 
 
 def test_config_round_trip_is_exact():
-    spec = RunSpec(
-        cfg=CellConfig(
-            areas=(
-                cli.AreaSpec("10", "14", 0.25),
-                cli.AreaSpec("1/3", "1.4", 0.75),
-            )
-        ),
-        traffic=TrafficMix(2.7182818, 0.31830988, 1.5),
-        policy=Policy.BERNOULLI,
-        seed=12345,
-    )
-    again = parse_config_text(emit_config(spec))
-    assert again == spec
-    # exact rationals survive the text form
-    assert again.cfg.areas[1].c1_exact == Fraction(1, 3)
+    # the capacity text of the `# config=` header reads back exactly
+    for c in (Fraction(10), Fraction(14), Fraction(1, 3), Fraction(7, 5)):
+        assert exact_ratio(cli._format_exact(c)) == c
 
 
 _CAPACITY = st.fractions(min_value=Fraction(1, 1000), max_value=1000, max_denominator=10**6)
@@ -179,11 +205,8 @@ _CAPACITY = st.fractions(min_value=Fraction(1, 1000), max_value=1000, max_denomi
 @given(st.lists(st.tuples(_CAPACITY, _CAPACITY), min_size=1, max_size=3))
 def test_config_round_trip_on_random_exact_capacities(capacities):
     # includes non-terminating decimals such as 1/3, which print as p/q
-    areas = tuple(cli.AreaSpec(c1, c2, 1.0 / len(capacities)) for c1, c2 in capacities)
-    spec = RunSpec(cfg=CellConfig(areas=areas), traffic=TrafficMix(1.0, 0.5, 1.0))
-    again = parse_config_text(emit_config(spec))
-    assert again == spec
-    assert [(a.c1_exact, a.c2_exact) for a in again.cfg.areas] == capacities
+    for c in (c for pair in capacities for c in pair):
+        assert exact_ratio(cli._format_exact(c)) == c
 
 
 def test_format_exact_rendering():

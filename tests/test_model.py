@@ -60,7 +60,11 @@ def test_ring_quarter():
     assert ring_area_probabilities([300.0, 600.0]) == [0.25, 0.75]
 
 
-@pytest.mark.parametrize("bad", [[], [0.0], [-1.0, 2.0], [2.0, 2.0], [3.0, 1.0]])
+@pytest.mark.parametrize(
+    "bad",
+    [[], [0.0], [-1.0, 2.0], [2.0, 2.0], [3.0, 1.0],
+     [300.0, math.nan], [math.nan, 600.0], [300.0, math.inf]],
+)
 def test_ring_rejects_bad_geometry(bad):
     with pytest.raises(ConfigError):
         ring_area_probabilities(bad)
@@ -88,16 +92,11 @@ def test_config_rejects_nonpositive_capacity():
         AreaSpec(0, 1, 1.0)
     with pytest.raises(ConfigError):
         AreaSpec(1, -2, 1.0)
-
-
-def test_config_radii_must_match_q():
+    # exact and positive, but the float overflows or rounds to 0
     with pytest.raises(ConfigError):
-        CellConfig(
-            areas=(AreaSpec(1, 1, 0.5), AreaSpec(1, 1, 0.5)),
-            radii=(300.0, 600.0),  # ring split is 0.25/0.75
-        )
-    cfg = CellConfig(areas=(AreaSpec(1, 1, 0.25), AreaSpec(1, 1, 0.75)), radii=(300.0, 600.0))
-    assert cfg.areas[0].q == 0.25
+        AreaSpec("1e400", 1, 1.0)
+    with pytest.raises(ConfigError):
+        AreaSpec(1, "1e-400", 1.0)
 
 
 def test_capacity_exact_ratio_from_decimal_string():
